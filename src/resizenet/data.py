@@ -215,6 +215,13 @@ def save_checkpoint(path, model: GatedResNet, train_state: dict | None = None,
         fh.write(struct.pack("<I", crc))
 
 
+def _require_keys(obj, keys: tuple[str, ...], what: str) -> None:
+    missing = [k for k in keys if k not in obj] if isinstance(obj, dict) \
+        else list(keys)
+    if missing:
+        raise CheckpointError(f"{what} lacks {', '.join(missing)}")
+
+
 def load_checkpoint(path, expected_spec: ModelSpec | None = None
                     ) -> tuple[GatedResNet, dict]:
     """Rebuild the model recorded in a checkpoint.
@@ -230,7 +237,12 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
     (header_len,) = struct.unpack("<Q", blob[:8])
     if 8 + header_len + 4 > len(blob):
         raise CheckpointError(f"{path}: header length field exceeds file")
-    header = json.loads(blob[8:8 + header_len].decode())
+    try:
+        header = json.loads(blob[8:8 + header_len].decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    _require_keys(header, ("payload_nbytes", "crc32", "model", "tensors"),
+                  f"{path}: header")
 
     version = header.get("format_version")
     if version != CHECKPOINT_VERSION:
@@ -250,7 +262,11 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
             f"{path}: payload CRC32 {crc:#010x} does not match the "
             f"recorded checksum")
 
-    spec = ModelSpec.from_dict(header["model"])
+    try:
+        spec = ModelSpec.from_dict(header["model"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(
+            f"{path}: invalid model description: {exc!r}") from exc
     if expected_spec is not None and spec != expected_spec:
         if spec.num_blocks != expected_spec.num_blocks:
             raise ArchitectureMismatchError(
@@ -261,13 +277,23 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
             f"expected {expected_spec}")
 
     arrays: dict[str, np.ndarray] = {}
+    if not isinstance(header["tensors"], list):
+        raise CheckpointError(f"{path}: tensor manifest is not a list")
     for entry in header["tensors"]:
+        _require_keys(entry, ("name", "shape", "offset", "nbytes"),
+                      f"{path}: tensor entry")
         start, nbytes = entry["offset"], entry["nbytes"]
         if start + nbytes > len(payload):
             raise CheckpointError(
                 f"{path}: tensor {entry['name']} overruns the payload")
         arr = np.frombuffer(payload[start:start + nbytes], dtype="<f4")
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float64)
+        try:
+            arr = arr.reshape(entry["shape"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"{path}: tensor {entry['name']} does not fit shape "
+                f"{entry['shape']}") from exc
+        arrays[entry["name"]] = arr.astype(np.float64)
 
     model = GatedResNet(spec, np.random.default_rng(0))
     for name, t in model.named_parameters():

@@ -276,31 +276,45 @@ def sum_all(x: Tensor) -> Tensor:
 
 # -- convolution ------------------------------------------------------------
 
+# Columns are gathered from a channels-last copy of the input and ordered
+# (i, j, c): every window row is then k runs of k*C contiguous values, and
+# the k^2 adds of _col2im touch contiguous C-long runs.  The layout stays
+# inside these helpers; conv2d takes and returns [B,C,H,W].
+
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """[B,C,H,W] -> [B*Ho*Wo, k*k*C] window columns ordered (i, j, c)."""
     b, c, h, w = x.shape
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
-    img = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else x
-    # [B, C, Ho, Wo, k, k] window view, subsampled by the stride
+    img = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    img[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    # [B, Ho, Wo, C, k, k] window view, subsampled by the stride
     windows = np.lib.stride_tricks.sliding_window_view(img, (k, k),
-                                                       axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    return windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * ho * wo, c * k * k)
+                                                       axis=(1, 2))
+    windows = windows[:, ::stride, ::stride]
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, k * k * c)
 
 
 def _col2im(cols: np.ndarray, x_shape: tuple, k: int, stride: int,
             pad: int) -> np.ndarray:
+    """Adjoint of :func:`_im2col`: scatter-add columns back to [B,C,H,W]."""
     b, c, h, w = x_shape
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
-    cols = cols.reshape(b, ho, wo, c, k, k).transpose(0, 3, 4, 5, 1, 2)
-    img = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    cols = cols.reshape(b, ho, wo, k, k, c)
+    img = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
     for i in range(k):
         i_max = i + stride * ho
         for j in range(k):
             j_max = j + stride * wo
-            img[:, :, i:i_max:stride, j:j_max:stride] += cols[:, :, i, j]
-    return img[:, :, pad:pad + h, pad:pad + w] if pad else img
+            img[:, i:i_max:stride, j:j_max:stride] += cols[:, :, :, i, j]
+    return np.ascontiguousarray(
+        img[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2))
+
+
+def _weight_matrix(w: np.ndarray) -> np.ndarray:
+    """[Cout,C,k,k] weights -> [k*k*C, Cout], rows in the column order."""
+    return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
@@ -326,9 +340,9 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     ho = (h + 2 * pad - k) // stride + 1
     wo = (width + 2 * pad - k) // stride + 1
 
-    cols = _im2col(x.data, k, stride, pad)           # [B*Ho*Wo, C*k*k]
-    wmat = w.data.reshape(cout, -1).T                # [C*k*k, Cout]
-    out = (cols @ wmat).reshape(b, ho, wo, cout).transpose(0, 3, 1, 2)
+    cols = _im2col(x.data, k, stride, pad)           # [B*Ho*Wo, k*k*C]
+    out = (cols @ _weight_matrix(w.data)).reshape(b, ho, wo, cout) \
+        .transpose(0, 3, 1, 2)
 
     # requires_grad is read at recording time; phase-frozen parameters and
     # raw input batches skip their (expensive) half of the backward work
@@ -336,9 +350,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
 
     def rule(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
-        gw = (cols.T @ gmat).T.reshape(w.shape) if need_gw else None
-        gx = _col2im(gmat @ wmat.T, x.shape, k, stride, pad) \
-            if need_gx else None
+        gw = (cols.T @ gmat).reshape(k, k, cin, cout).transpose(3, 2, 0, 1) \
+            if need_gw else None
+        # the weight matrix is rebuilt here rather than kept alive by the
+        # closure: the optimizer steps only after backward
+        gx = _col2im(gmat @ _weight_matrix(w.data).T, x.shape, k, stride,
+                     pad) if need_gx else None
         return gx, gw
 
     return _from_op(np.ascontiguousarray(out), (x, w), rule)
@@ -366,42 +383,41 @@ def batch_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor,
     _require(running_mean.shape == (c,) and running_var.shape == (c,),
              f"batch_norm: running stats must be [{c}]")
 
+    b, _, h, w = x.shape
+    m = b * h * w
+    xv = x.data.reshape(b, c, h * w)
     if training:
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        mean = np.einsum("bcn->c", xv) / m
+        xhat = xv - mean[:, None]
+        var = np.einsum("bcn,bcn->c", xhat, xhat) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean = running_mean
+        xhat = xv - running_mean[:, None]
         var = running_var
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = gamma.data[None, :, None, None] * xhat + \
-        beta_shift.data[None, :, None, None]
-
-    m = x.shape[0] * x.shape[2] * x.shape[3]
+    xhat *= inv_std[:, None]
+    out = xhat * gamma.data[:, None]
+    out += beta_shift.data[:, None]
 
     def rule(g):
-        dgamma = np.einsum("bchw,bchw->c", g, xhat)
-        dbeta = g.sum(axis=(0, 2, 3))
-        dxhat = g * gamma.data[None, :, None, None]
+        gv = g.reshape(b, c, h * w)
+        dbeta = np.einsum("bcn->c", gv)
+        dgamma = np.einsum("bcn,bcn->c", gv, xhat)
         if training:
-            # batch statistics depend on x, three-term textbook formula
-            sum_dxhat = dxhat.sum(axis=(0, 2, 3))
-            sum_dxhat_xhat = np.einsum("bchw,bchw->c", dxhat, xhat)
-            gx = (inv_std[None, :, None, None] / m) * (
-                m * dxhat
-                - sum_dxhat[None, :, None, None]
-                - xhat * sum_dxhat_xhat[None, :, None, None]
-            )
+            # three-term formula for batch statistics; with dxhat = g*gamma,
+            # sum(dxhat) = gamma*dbeta and sum(dxhat*xhat) = gamma*dgamma
+            gx = gv - dbeta[:, None] / m
+            gx -= xhat * (dgamma / m)[:, None]
+            gx *= (gamma.data * inv_std)[:, None]
         else:
-            gx = dxhat * inv_std[None, :, None, None]
-        return gx, dgamma, dbeta
+            gx = gv * (gamma.data * inv_std)[:, None]
+        return gx.reshape(x.shape), dgamma, dbeta
 
-    return _from_op(out, (x, gamma, beta_shift), rule)
+    return _from_op(out.reshape(x.shape), (x, gamma, beta_shift), rule)
 
 
 # -- loss -------------------------------------------------------------------

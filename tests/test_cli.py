@@ -193,6 +193,21 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("old,new", [
+        (b'{"crc32', b'\xff"crc32'),            # undecodable header byte
+        (b'"payload_nbytes"', b'"payload_nbytez"'),  # missing header key
+    ], ids=["undecodable_byte", "missing_key"])
+    def test_malformed_checkpoint_header_is_data_error(
+            self, checkpoint, dataset_spec, tmp_path, old, new):
+        blob = open(checkpoint, "rb").read()
+        assert old in blob and len(old) == len(new)
+        with open(checkpoint, "wb") as fh:
+            fh.write(blob.replace(old, new))
+        code = main(["eval", "--checkpoint", checkpoint,
+                     "--dataset", dataset_spec, "--grid", "0.5",
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_DATA
+
     def test_rerun_is_byte_identical(self, checkpoint, dataset_spec,
                                      tmp_path):
         blobs = []

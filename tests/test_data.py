@@ -1,5 +1,8 @@
 """Dataset ingestion and checkpoint persistence tests."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -123,6 +126,16 @@ class TestAugmentBatch:
         assert set(np.unique(out)) <= {0.0, 1.0}
 
 
+def _edit_header(path, edit):
+    """Apply ``edit`` to a checkpoint's parsed header and write it back."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack("<Q", blob[:8])
+    header = json.loads(blob[8:8 + n])
+    edit(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<Q", len(raw)) + raw + blob[8 + n:])
+
+
 class TestCheckpoint:
     SPEC = ModelSpec(stage_blocks=(2, 2), channels=(8, 16), num_classes=4)
 
@@ -193,6 +206,46 @@ class TestCheckpoint:
         path = tmp_path / "short.ckpt"
         path.write_bytes(b"\x01\x02")
         with pytest.raises(CheckpointError, match="short"):
+            load_checkpoint(path)
+
+    def test_undecodable_header_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._model())
+        blob = bytearray(path.read_bytes())
+        blob[9] = 0xFF  # first byte after the header's opening brace
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["payload_nbytes", "crc32", "model",
+                                     "tensors"])
+    def test_missing_header_key_is_checkpoint_error(self, tmp_path, key):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._model())
+        _edit_header(path, lambda h: h.pop(key))
+        with pytest.raises(CheckpointError, match=f"lacks {key}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["name", "shape", "offset", "nbytes"])
+    def test_missing_tensor_entry_key_is_checkpoint_error(self, tmp_path,
+                                                          key):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._model())
+        _edit_header(path, lambda h: h["tensors"][0].pop(key))
+        with pytest.raises(CheckpointError, match=f"lacks {key}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda h: h["model"].pop("stage_blocks"), "model description"),
+        (lambda h: h.update(tensors=5), "not a list"),
+        (lambda h: h["tensors"][0].update(shape=[2, 2]), "does not fit"),
+    ], ids=["model_key", "manifest_type", "shape"])
+    def test_malformed_header_value_is_checkpoint_error(self, tmp_path,
+                                                        edit, match):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._model())
+        _edit_header(path, edit)
+        with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
 
     def test_train_state_roundtrip(self, tmp_path):

@@ -8,6 +8,8 @@ from resizenet.tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
+    _col2im,
+    _im2col,
     add,
     add_n,
     add_scalar,
@@ -111,6 +113,49 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
         assert out.shape == ref.shape
 
+    @pytest.mark.parametrize("x_shape,w_shape,stride,pad", [
+        ((2, 3, 5, 8), (4, 3, 3, 3), 1, 1),     # H != W
+        ((2, 3, 7, 4), (4, 3, 3, 3), 2, 1),
+        ((2, 3, 6, 9), (4, 3, 3, 3), 2, 0),
+        ((2, 4, 8, 8), (6, 4, 1, 1), 2, 0),     # 1x1 stride-2 projection
+        ((2, 4, 5, 8), (6, 4, 1, 1), 2, 0),
+    ])
+    def test_matches_naive_reference_other_shapes(self, x_shape, w_shape,
+                                                  stride, pad):
+        rng = np.random.default_rng(40)
+        x = rng.standard_normal(x_shape)
+        w = rng.standard_normal(w_shape)
+        out = conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad)
+        ref = naive_conv2d(x, w, stride=stride, pad=pad)
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out.data, ref, atol=1e-12)
+
+    def test_im2col_columns_ordered_i_j_c(self):
+        rng = np.random.default_rng(43)
+        x = rng.standard_normal((2, 3, 5, 6))
+        # [B, Ho, Wo, i, j, c]
+        cols = _im2col(x, 3, 2, 1).reshape(2, 3, 3, 3, 3, 3)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        for oh in range(3):
+            for ow in range(3):
+                window = xp[:, :, 2 * oh:2 * oh + 3, 2 * ow:2 * ow + 3]
+                np.testing.assert_array_equal(cols[:, oh, ow],
+                                              window.transpose(0, 2, 3, 1))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_col2im_is_adjoint_of_im2col(self, k, pad, stride):
+        # <im2col(x), y> == <x, col2im(y)> pins the column order of both
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((2, 3, 5, 6))
+        cols = _im2col(x, k, stride, pad)
+        y = rng.standard_normal(cols.shape)
+        back = _col2im(y, x.shape, k, stride, pad)
+        assert back.shape == x.shape
+        np.testing.assert_allclose(np.sum(cols * y), np.sum(x * back),
+                                   rtol=1e-12)
+
     def test_channel_mismatch_names_axes(self):
         x = Tensor(np.zeros((1, 4, 8, 8)))
         w = Tensor(np.zeros((2, 3, 3, 3)))
@@ -130,6 +175,15 @@ class TestConv2d:
         x = Tensor(rng.standard_normal((2, 3, 6, 6)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.5, requires_grad=True)
         err = grad_check(lambda: sum_all(relu(conv2d(x, w, stride=2, pad=1))),
+                         [x, w])
+        assert err < 1e-4
+
+    def test_projection_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 1, 1)) * 0.5, requires_grad=True)
+        r = Tensor(rng.standard_normal((2, 4, 3, 3)))
+        err = grad_check(lambda: sum_all(mul(conv2d(x, w, stride=2), r)),
                          [x, w])
         assert err < 1e-4
 
@@ -322,6 +376,23 @@ class TestBatchNorm:
             y = batch_norm(x, gamma, shift, rm.copy(), rv.copy(),
                            training=False)
             return sum_all(mul(y, y))
+
+        assert grad_check(loss, [x, gamma, shift]) < 1e-4
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_gradients_single_non_square_sample(self, training):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.standard_normal((1, 3, 2, 5)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
+        shift = Tensor(rng.standard_normal(3), requires_grad=True)
+        r = Tensor(rng.standard_normal((1, 3, 2, 5)))
+        rm = rng.standard_normal(3)
+        rv = rng.uniform(0.5, 2.0, 3)
+
+        def loss():
+            y = batch_norm(x, gamma, shift, rm.copy(), rv.copy(),
+                           training=training)
+            return sum_all(mul(y, r))
 
         assert grad_check(loss, [x, gamma, shift]) < 1e-4
 
