@@ -21,8 +21,9 @@ print("binary   :", gate_activation(z, GateMode.BINARY).data,
 print("\n== training draws a form per gate module per pass ==")
 modes = sample_gate_modes(0.3, 10, np.random.default_rng(7))
 print("p=0.3 ->", [m.value for m in modes])
-print("evaluation always uses the binary form, so closed blocks cost "
-      "nothing")
+print("evaluation always uses the binary form: a block closed for the "
+      "whole batch is skipped, a mixed batch computes the branch and masks "
+      "it")
 
 print("\n== the gate sees pooled features plus the scale knob ==")
 gp = GateParams.create(8, 2, rng)

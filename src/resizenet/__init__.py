@@ -21,7 +21,6 @@ from .metrics import (
     budget_to_scale,
     count_macs,
     evaluate,
-    usage_map,
 )
 from .model import (
     GateMode,
@@ -49,7 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "load_checkpoint", "load_cifar_binary", "make_synthetic",
     "save_checkpoint", "ConvLayer", "FlopsModel", "LinearLayer",
-    "UsageStats", "budget_to_scale", "count_macs", "evaluate", "usage_map",
+    "UsageStats", "budget_to_scale", "count_macs", "evaluate",
     "GateMode", "GateRecord", "GatedResNet", "ModelSpec", "gate_activation",
     "random_drop_forward", "sample_gate_modes", "LossBreakdown",
     "scale_loss", "total_loss", "Tensor", "backward", "grad_check",

@@ -29,7 +29,6 @@ from .metrics import (
     evaluate,
     monotone_envelope,
     read_calibration_json,
-    usage_map,
     write_calibration_json,
     write_usage_map_csv,
 )
@@ -238,25 +237,26 @@ def _parse_grid(values) -> list[float]:
     return grid
 
 
-def _load_eval_inputs(args):
+def _sweep(args, gate_override: GateMode | None = None):
+    """Load the checkpoint and dataset, then evaluate at every grid scale.
+
+    Returns the grid, the MAC model, and one EvalResult per scale.
+    """
     model, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset_spec(_json_or_file(args.dataset), args.split)
-    return model, dataset
+    grid = _parse_grid(args.grid)
+    fm = FlopsModel.for_model(model.spec, dataset.images.shape[2:])
+    results = [evaluate(model, dataset, s, gate_override=gate_override,
+                        flops_model=fm) for s in grid]
+    return grid, fm, results
 
 
 def cmd_eval(args) -> int:
-    model, dataset = _load_eval_inputs(args)
-    grid = _parse_grid(args.grid)
     override = {"sigmoid": GateMode.SIGMOID, "binary": GateMode.BINARY,
                 None: None}[args.gate_override]
-    fm = FlopsModel.for_model(model.spec, dataset.images.shape[2:])
+    _, fm, results = _sweep(args, override)
+    rows = [r.summary() for r in results]
     os.makedirs(args.out, exist_ok=True)
-
-    rows = []
-    for s in grid:
-        result = evaluate(model, dataset, s, gate_override=override,
-                          flops_model=fm)
-        rows.append(result.summary())
     csv_path = os.path.join(args.out, "eval.csv")
     with open(csv_path, "w") as fh:
         fields = ("scale", "accuracy", "usage_mean", "usage_std",
@@ -277,9 +277,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_usage_map(args) -> int:
-    model, dataset = _load_eval_inputs(args)
-    grid = _parse_grid(args.grid)
-    matrix = usage_map(model, dataset, grid)
+    grid, _, results = _sweep(args)
+    matrix = np.stack([r.stats.per_block_usage for r in results], axis=1)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "usage_map.csv")
     write_usage_map_csv(path, grid, matrix)
@@ -288,13 +287,8 @@ def cmd_usage_map(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    model, dataset = _load_eval_inputs(args)
-    grid = _parse_grid(args.grid)
-    fm = FlopsModel.for_model(model.spec, dataset.images.shape[2:])
-    table = []
-    for s in grid:
-        result = evaluate(model, dataset, s, flops_model=fm)
-        table.append((s, result.stats.macs_mean))
+    grid, fm, results = _sweep(args)
+    table = [(s, r.stats.macs_mean) for s, r in zip(grid, results)]
     table, changed = monotone_envelope(table)
     if changed:
         print("warning: calibration was not monotone; envelope applied",

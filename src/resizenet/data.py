@@ -172,22 +172,14 @@ def save_checkpoint(path, model: GatedResNet, train_state: dict | None = None,
                     extra_meta: dict | None = None) -> None:
     """Serialize parameters and batch-norm state as float32.
 
-    ``train_state`` may carry an epoch counter and optimizer slot arrays;
-    arrays go into the payload alongside the model tensors.
+    ``train_state`` holds JSON scalars such as the epoch counter; optimizer
+    state is not saved, so training from a checkpoint restarts it.
     """
     tensors: list[tuple[str, np.ndarray]] = []
     for name, t in model.named_parameters():
         tensors.append((f"param/{name}", t.data))
     for name, arr in model.named_buffers():
         tensors.append((f"buffer/{name}", arr))
-
-    state_scalars: dict = {}
-    if train_state:
-        for key, value in train_state.items():
-            if isinstance(value, np.ndarray):
-                tensors.append((f"state/{key}", value))
-            else:
-                state_scalars[key] = value
 
     manifest, chunks, offset = [], [], 0
     for name, arr in tensors:
@@ -204,7 +196,7 @@ def save_checkpoint(path, model: GatedResNet, train_state: dict | None = None,
               "tensors": manifest,
               "payload_nbytes": len(payload),
               "crc32": crc,
-              "train_state": state_scalars,
+              "train_state": train_state or {},
               "meta": extra_meta or {}}
     header_bytes = json.dumps(header, sort_keys=True).encode()
 
@@ -311,8 +303,4 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
             raise CheckpointError(f"{path}: missing tensor {key}")
         arr[...] = arrays[key]
 
-    train_state = dict(header.get("train_state", {}))
-    for name, arr in arrays.items():
-        if name.startswith("state/"):
-            train_state[name[len("state/"):]] = arr
-    return model, train_state
+    return model, dict(header.get("train_state", {}))

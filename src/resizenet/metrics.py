@@ -139,14 +139,6 @@ class UsageStats:
     macs_std: float
     n_samples: int
 
-    def to_dict(self) -> dict:
-        return {"scale": self.scale,
-                "accuracy": None,
-                "usage_mean": self.usage_mean,
-                "usage_std": self.usage_std,
-                "flops_mean": self.macs_mean,
-                "flops_std": self.macs_std}
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -155,9 +147,10 @@ class EvalResult:
     per_sample_macs: np.ndarray
 
     def summary(self) -> dict:
-        d = self.stats.to_dict()
-        d["accuracy"] = self.accuracy
-        return d
+        s = self.stats
+        return {"scale": s.scale, "accuracy": self.accuracy,
+                "usage_mean": s.usage_mean, "usage_std": s.usage_std,
+                "flops_mean": s.macs_mean, "flops_std": s.macs_std}
 
 
 def _gather(model: GatedResNet, images: np.ndarray, labels: np.ndarray,
@@ -208,25 +201,6 @@ def evaluate(model: GatedResNet, dataset, scale: float, *,
                        n_samples=len(totals))
     return EvalResult(accuracy=float(correct.mean()), stats=stats,
                       per_sample_macs=macs)
-
-
-def usage_map(model: GatedResNet, dataset, s_grid, *,
-              gate_override: GateMode | None = None,
-              batch_size: int = 256) -> np.ndarray:
-    """Mean gate value of each block at each scale: [N, len(s_grid)].
-
-    Column j sums to the ``usage_mean`` that :func:`evaluate` reports at
-    ``s_grid[j]``.
-    """
-    s_grid = [float(s) for s in s_grid]
-    if s_grid != sorted(s_grid):
-        raise ValueError("scale grid must be sorted ascending")
-    cols = []
-    for s in s_grid:
-        gates, _ = _gather(model, dataset.images, dataset.labels,
-                           _check_scale(s), gate_override, batch_size)
-        cols.append(gates.mean(axis=0))
-    return np.stack(cols, axis=1)
 
 
 def write_usage_map_csv(path, s_grid, matrix: np.ndarray) -> None:

@@ -245,27 +245,23 @@ def _shortcut(x: Tensor, block: BlockParams, bn_training: bool) -> Tensor:
 
 
 def gated_block_forward(x: Tensor, block: BlockParams, gate: Tensor,
-                        mode: GateMode, *, skip_compute: bool = False,
+                        mode: GateMode, *,
                         bn_training: bool = False) -> Tensor:
     """One gated residual block: Y = relu(shortcut(X) + gate * branch(X)).
 
     Binary gates make the branch term vanish exactly: a sample with gate 0
     comes out bitwise equal to its input (identity shortcut; block inputs
-    follow a ReLU, so the final ReLU cannot alter them).  With
-    ``skip_compute`` and a uniform zero gate the branch is never evaluated
-    at all; mixed gates within a batch fall back to compute-then-mask,
-    which produces the same values.
+    follow a ReLU, so the final ReLU cannot alter them).  A binary gate
+    closed on every row skips the branch altogether; mixed gates compute
+    the branch and mask it, which gives the closed rows the same values.
     """
-    if skip_compute and mode is not GateMode.BINARY:
-        raise ValueError("skip_compute is only legal with binary gates")
     shortcut = _shortcut(x, block, bn_training)
-    if skip_compute:
-        gvals = gate.data
-        if not gvals.any():
-            # whole batch gated off: branch skipped, shortcut flows through
-            return shortcut if block.proj_conv is None else relu(shortcut)
-        if gvals.all():
-            return relu(add(shortcut, _residual_branch(x, block, bn_training)))
+    # Never skip with batch norm in training mode: the branch's batch norms
+    # update running statistics, and a joint step gives a closed branch a
+    # zero gradient (not None), so weight decay and momentum still move it.
+    if mode is GateMode.BINARY and not bn_training and not gate.data.any():
+        # an identity shortcut follows a ReLU already, a projection does not
+        return shortcut if block.proj_conv is None else relu(shortcut)
     branch = _residual_branch(x, block, bn_training)
     return relu(add(shortcut, scale_features(branch, gate)))
 
@@ -320,8 +316,7 @@ class GatedResNet:
 
     def forward(self, x, scale: float,
                 modes: Sequence[GateMode] | None = None, *,
-                bn_training: bool = False,
-                skip_compute: bool = False) -> tuple[Tensor, GateRecord]:
+                bn_training: bool = False) -> tuple[Tensor, GateRecord]:
         """Run the network at the given scale.
 
         ``modes`` is one GateMode per block; None means evaluation, where
@@ -343,7 +338,6 @@ class GatedResNet:
             gate = gate_forward(h, scale, gparams, mode,
                                 self.use_feature_input)
             h = gated_block_forward(h, block, gate, mode,
-                                    skip_compute=skip_compute,
                                     bn_training=bn_training)
             gates.append(gate)
         logits = self._head(h)
@@ -443,10 +437,11 @@ def random_drop_forward(model: GatedResNet, x, scale: float,
         x = Tensor(x)
     kept = sample_kept_blocks(scale, model.num_blocks, rng)
 
-    b = x.shape[0]
     h = model._stem(x, bn_training)
     for block, keep in zip(model.blocks, kept):
-        gate = Tensor(np.full(b, 1.0 if keep else 0.0))
-        h = gated_block_forward(h, block, gate, GateMode.BINARY,
-                                skip_compute=True, bn_training=bn_training)
+        shortcut = _shortcut(h, block, bn_training)
+        if keep:
+            h = relu(add(shortcut, _residual_branch(h, block, bn_training)))
+        else:
+            h = shortcut if block.proj_conv is None else relu(shortcut)
     return model._head(h), kept

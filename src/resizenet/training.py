@@ -136,8 +136,9 @@ class TrainReport:
             writer = csv.writer(fh)
             writer.writerow(EpochRow.FIELDS)
             for row in self.rows:
-                writer.writerow([repr(v) if isinstance(v, float) else v
-                                 for v in row.as_list()])
+                # losses are np.float64, whose numpy-2 repr is not a number
+                writer.writerow([repr(float(v)) if isinstance(v, float)
+                                 else v for v in row.as_list()])
 
     def write_summary(self, path) -> None:
         with open(path, "w") as fh:
@@ -195,9 +196,6 @@ class SgdOptimizer:
             v += g
             p.data -= lr * v
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {f"sgd_velocity/{i}": v for i, v in enumerate(self.velocity)}
-
 
 class AdamOptimizer:
     def __init__(self, params: list[Tensor], spec: OptimizerSpec):
@@ -222,11 +220,6 @@ class AdamOptimizer:
             v *= b2
             v += (1 - b2) * g * g
             p.data -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {f"adam_m/{i}": m for i, m in enumerate(self.m)}
-        out.update({f"adam_v/{i}": v for i, v in enumerate(self.v)})
-        return out
 
 
 def make_optimizer(params: list[Tensor], spec: OptimizerSpec):

@@ -251,14 +251,9 @@ class TestCheckpoint:
     def test_train_state_roundtrip(self, tmp_path):
         model = self._model()
         path = tmp_path / "m.ckpt"
-        slots = np.arange(6.0)
-        save_checkpoint(path, model,
-                        train_state={"epoch": 3, "velocity/head.w": slots})
+        save_checkpoint(path, model, train_state={"epoch": 3})
         _, state = load_checkpoint(path)
-        assert state["epoch"] == 3
-        np.testing.assert_array_equal(
-            state["velocity/head.w"],
-            slots.astype(np.float32).astype(np.float64))
+        assert state == {"epoch": 3}
 
 
 class TestDataset:

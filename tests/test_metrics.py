@@ -13,7 +13,6 @@ from resizenet.metrics import (
     evaluate,
     monotone_envelope,
     read_usage_map_csv,
-    usage_map,
     write_usage_map_csv,
 )
 from resizenet.model import GatedResNet, GateMode, ModelSpec
@@ -159,24 +158,6 @@ class TestEvaluate:
 
 
 class TestUsageMap:
-    def test_shape_and_consistency_with_evaluate(self):
-        spec = ModelSpec(stage_blocks=(2, 2), channels=(8, 16), num_classes=4)
-        model = GatedResNet(spec, np.random.default_rng(4))
-        dataset = make_synthetic(40, 4, 8, seed=5)
-        grid = [0.25, 0.5, 0.75, 1.0]
-        matrix = usage_map(model, dataset, grid)
-        assert matrix.shape == (4, 4)
-        for j, s in enumerate(grid):
-            stats = evaluate(model, dataset, s).stats
-            assert abs(matrix[:, j].sum() - stats.usage_mean) < 1e-12
-
-    def test_unsorted_grid_rejected(self):
-        spec = ModelSpec(stage_blocks=(2,), channels=(8,), num_classes=4)
-        model = GatedResNet(spec, np.random.default_rng(6))
-        dataset = make_synthetic(8, 4, 8, seed=7)
-        with pytest.raises(ValueError, match="sorted"):
-            usage_map(model, dataset, [0.5, 0.2])
-
     def test_csv_roundtrip(self, tmp_path):
         grid = [0.2, 0.6, 1.0]
         matrix = np.array([[0.0, 0.5, 1.0], [1.0, 1.0, 1.0]])

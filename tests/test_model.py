@@ -4,6 +4,7 @@ gradient blocking, and the random-drop resizing baseline."""
 import numpy as np
 import pytest
 
+import resizenet.model
 from resizenet.model import (
     BlockParams,
     BnParams,
@@ -11,13 +12,23 @@ from resizenet.model import (
     GateParams,
     GatedResNet,
     ModelSpec,
+    _residual_branch,
+    _shortcut,
     gate_activation,
     gate_forward,
     gated_block_forward,
     random_drop_forward,
     sample_gate_modes,
 )
-from resizenet.tensor import Tensor, grad_check, softmax_cross_entropy, sum_all
+from resizenet.tensor import (
+    Tensor,
+    add,
+    grad_check,
+    relu,
+    scale_features,
+    softmax_cross_entropy,
+    sum_all,
+)
 
 
 def make_block(c_in, c_out=None, stride=1, rng=None):
@@ -36,6 +47,18 @@ def make_block(c_in, c_out=None, stride=1, rng=None):
                          requires_grad=True) if needs_proj else None,
         proj_bn=BnParams.create(c_out) if needs_proj else None,
     )
+
+
+def spy_branch(monkeypatch) -> list:
+    """Record every call of the residual branch; returns the call list."""
+    calls = []
+
+    def spy(x, block, bn_training):
+        calls.append(x.shape[0])
+        return _residual_branch(x, block, bn_training)
+
+    monkeypatch.setattr(resizenet.model, "_residual_branch", spy)
+    return calls
 
 
 def zero_gate_params(c, reduction=2):
@@ -185,51 +208,55 @@ class TestGatedBlockForward:
                                   GateMode.BINARY)
         assert out.data.tobytes() == self.x.data.tobytes()
 
-    def test_skip_path_equals_masked_path_for_zero_gate(self):
+    def assert_closed_gate_skips_branch(self, block, monkeypatch):
         zero = Tensor(np.zeros(3))
-        masked = gated_block_forward(self.x, self.block, zero,
-                                     GateMode.BINARY, skip_compute=False)
-        skipped = gated_block_forward(self.x, self.block, zero,
-                                      GateMode.BINARY, skip_compute=True)
-        assert masked.data.tobytes() == skipped.data.tobytes()
+        masked = relu(add(_shortcut(self.x, block, False),
+                          scale_features(_residual_branch(self.x, block, False),
+                                         zero)))
+        calls = spy_branch(monkeypatch)
+        out = gated_block_forward(self.x, block, zero, GateMode.BINARY)
+        assert calls == []
+        assert out.data.tobytes() == masked.data.tobytes()
+        return out
 
-    def test_skip_path_equals_masked_path_for_open_gate(self):
-        one = Tensor(np.ones(3))
-        masked = gated_block_forward(self.x, self.block, one,
-                                     GateMode.BINARY, skip_compute=False)
-        skipped = gated_block_forward(self.x, self.block, one,
-                                      GateMode.BINARY, skip_compute=True)
-        assert masked.data.tobytes() == skipped.data.tobytes()
+    def test_skip_path_equals_masked_path_for_zero_gate(self, monkeypatch):
+        self.assert_closed_gate_skips_branch(self.block, monkeypatch)
+
+    def test_projection_block_changes_shape(self, monkeypatch):
+        block = make_block(6, 12, stride=2, rng=np.random.default_rng(11))
+        out = self.assert_closed_gate_skips_branch(block, monkeypatch)
+        assert out.shape == (3, 12, 3, 3)
+
+    def test_closed_gate_in_bn_training_still_runs_branch(self, monkeypatch):
+        calls = spy_branch(monkeypatch)
+        before = [bn.running_mean.copy() for bn in (self.block.bn1,
+                                                    self.block.bn2)]
+        out = gated_block_forward(self.x, self.block, Tensor(np.zeros(3)),
+                                  GateMode.BINARY, bn_training=True)
+        assert len(calls) == 1
+        for bn, mean in zip((self.block.bn1, self.block.bn2), before):
+            assert not np.array_equal(bn.running_mean, mean)
+        assert out.data.tobytes() == self.x.data.tobytes()
 
     def test_mixed_gates_bypass_per_sample(self):
         gate = Tensor(np.array([0.0, 1.0, 0.0]))
-        out = gated_block_forward(self.x, self.block, gate, GateMode.BINARY,
-                                  skip_compute=True)
+        out = gated_block_forward(self.x, self.block, gate, GateMode.BINARY)
         assert out.data[0].tobytes() == self.x.data[0].tobytes()
         assert out.data[2].tobytes() == self.x.data[2].tobytes()
         assert not np.array_equal(out.data[1], self.x.data[1])
 
+    def test_sigmoid_gate_is_never_skipped(self, monkeypatch):
+        calls = spy_branch(monkeypatch)
+        gated_block_forward(self.x, self.block, Tensor(np.zeros(3)),
+                            GateMode.SIGMOID)
+        assert len(calls) == 1
+
     def test_half_gate_matches_direct_formula(self):
-        from resizenet.model import _residual_branch
         gate = Tensor(np.full(3, 0.5))
         out = gated_block_forward(self.x, self.block, gate, GateMode.SIGMOID)
         branch = _residual_branch(self.x, self.block, False).data
         ref = np.maximum(self.x.data + 0.5 * branch, 0.0)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
-
-    def test_skip_compute_with_sigmoid_rejected(self):
-        with pytest.raises(ValueError, match="binary"):
-            gated_block_forward(self.x, self.block, Tensor(np.full(3, 0.5)),
-                                GateMode.SIGMOID, skip_compute=True)
-
-    def test_projection_block_changes_shape(self):
-        block = make_block(6, 12, stride=2, rng=np.random.default_rng(11))
-        out = gated_block_forward(self.x, block, Tensor(np.zeros(3)),
-                                  GateMode.BINARY, skip_compute=True)
-        assert out.shape == (3, 12, 3, 3)
-        masked = gated_block_forward(self.x, block, Tensor(np.zeros(3)),
-                                     GateMode.BINARY, skip_compute=False)
-        assert out.data.tobytes() == masked.data.tobytes()
 
 
 class TestGatedResNetForward:
@@ -339,6 +366,14 @@ class TestRandomDropForward:
         x = np.random.default_rng(22).standard_normal((1, 3, 4, 4))
         _, kept = random_drop_forward(model, x, 0.5, np.random.default_rng(1))
         assert kept.sum() == 27
+
+    def test_dropped_block_never_runs_branch(self, monkeypatch):
+        spec = ModelSpec(stage_blocks=(2, 2), channels=(8, 16), num_classes=4)
+        model = GatedResNet(spec, np.random.default_rng(19))
+        x = np.random.default_rng(20).standard_normal((2, 3, 8, 8))
+        calls = spy_branch(monkeypatch)
+        _, kept = random_drop_forward(model, x, 0.5, np.random.default_rng(2))
+        assert len(calls) == kept.sum() == 2
 
     def test_kept_frequency_matches_scale(self):
         from resizenet.model import sample_kept_blocks

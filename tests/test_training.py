@@ -275,6 +275,15 @@ class TestReportOutputs:
         header = (tmp_path / "epochs.csv").read_text().splitlines()[0]
         assert header.startswith("epoch,phase,lr,loss_total")
 
+    def test_csv_cells_after_phase_are_numbers(self, tmp_path):
+        model, train, val, cfg = small_setup()
+        Trainer(model, train, val, cfg, out_dir=str(tmp_path)).run()
+        lines = (tmp_path / "epochs.csv").read_text().splitlines()[1:]
+        assert len(lines) == cfg.epochs_total
+        for line in lines:
+            for cell in line.split(",")[2:]:
+                float(cell)
+
     def test_rerun_writes_identical_bytes(self, tmp_path):
         outputs = []
         for sub in ("a", "b"):
