@@ -10,7 +10,6 @@ from resizenet.training import OptimizerSpec, TrainConfig, Trainer
 
 spec = ModelSpec(stage_blocks=(3, 3), channels=(8, 16), num_classes=4)
 train = make_synthetic(768, 4, 8, seed=20)
-train.meta["augment_noise"] = 0.5
 big = make_synthetic(1152, 4, 8, seed=20)
 val = Dataset(big.images[768:], big.labels[768:], "val", dict(big.meta))
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -240,21 +241,31 @@ def _parse_grid(values) -> list[float]:
 def _sweep(args, gate_override: GateMode | None = None):
     """Load the checkpoint and dataset, then evaluate at every grid scale.
 
-    Returns the grid, the MAC model, and one EvalResult per scale.
+    Returns the grid, the MAC model, one EvalResult per scale, and the wall
+    time of each scale's ``evaluate`` in seconds.
     """
     model, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset_spec(_json_or_file(args.dataset), args.split)
     grid = _parse_grid(args.grid)
     fm = FlopsModel.for_model(model.spec, dataset.images.shape[2:])
-    results = [evaluate(model, dataset, s, gate_override=gate_override,
-                        flops_model=fm) for s in grid]
-    return grid, fm, results
+    # one untimed batch (evaluate's default size) takes the one-off start-up
+    # costs (BLAS, memory pools) that would otherwise be timed at grid[0]
+    head = Dataset(dataset.images[:256], dataset.labels[:256], dataset.split)
+    evaluate(model, head, grid[0], gate_override=gate_override,
+             flops_model=fm)
+    results, seconds = [], []
+    for s in grid:
+        t0 = time.perf_counter()
+        results.append(evaluate(model, dataset, s,
+                                gate_override=gate_override, flops_model=fm))
+        seconds.append(time.perf_counter() - t0)
+    return grid, fm, results, seconds
 
 
 def cmd_eval(args) -> int:
     override = {"sigmoid": GateMode.SIGMOID, "binary": GateMode.BINARY,
                 None: None}[args.gate_override]
-    _, fm, results = _sweep(args, override)
+    _, fm, results, seconds = _sweep(args, override)
     rows = [r.summary() for r in results]
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "eval.csv")
@@ -269,6 +280,14 @@ def cmd_eval(args) -> int:
                    "gate_overhead_ratio": fm.gate_overhead_ratio},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
+    # wall time varies run to run, so it stays out of eval.csv/eval.json
+    with open(os.path.join(args.out, "timing.json"), "w") as fh:
+        json.dump({"rows": [
+            {"scale": row["scale"], "flops_mean": row["flops_mean"],
+             "ms_per_sample": 1000.0 * sec / r.stats.n_samples}
+            for row, r, sec in zip(rows, results, seconds)]},
+            fh, indent=2, sort_keys=True)
+        fh.write("\n")
     for row in rows:
         print(f"S={row['scale']:.2f} acc={row['accuracy']:.4f} "
               f"usage={row['usage_mean']:.2f}+-{row['usage_std']:.2f} "
@@ -277,7 +296,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_usage_map(args) -> int:
-    grid, _, results = _sweep(args)
+    grid, _, results, _ = _sweep(args)
     matrix = np.stack([r.stats.per_block_usage for r in results], axis=1)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "usage_map.csv")
@@ -287,7 +306,7 @@ def cmd_usage_map(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    grid, fm, results = _sweep(args)
+    grid, fm, results, _ = _sweep(args)
     table = [(s, r.stats.macs_mean) for s, r in zip(grid, results)]
     table, changed = monotone_envelope(table)
     if changed:

@@ -268,6 +268,9 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
             f"{path}: checkpoint architecture {spec} does not match "
             f"expected {expected_spec}")
 
+    train_state = header.get("train_state", {})
+    if not isinstance(train_state, dict):
+        raise CheckpointError(f"{path}: train_state is not a JSON object")
     arrays: dict[str, np.ndarray] = {}
     if not isinstance(header["tensors"], list):
         raise CheckpointError(f"{path}: tensor manifest is not a list")
@@ -303,4 +306,4 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
             raise CheckpointError(f"{path}: missing tensor {key}")
         arr[...] = arrays[key]
 
-    return model, dict(header.get("train_state", {}))
+    return model, dict(train_state)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GatedResNet, GateMode, ModelSpec, _check_scale
+from .tensor import no_grad
 
 
 @dataclass(frozen=True)
@@ -176,8 +177,8 @@ def evaluate(model: GatedResNet, dataset, scale: float, *,
     """Top-1 accuracy plus usage/cost statistics at one scale setting.
 
     Deterministic and side-effect-free: gates are binary (the evaluation
-    default) unless ``gate_override`` forces a mode, and batch-norm running
-    statistics are left untouched.
+    default) unless ``gate_override`` forces a mode, batch-norm running
+    statistics are left untouched, and no autodiff graph is built.
     """
     scale = _check_scale(scale)
     if len(dataset.images) == 0:
@@ -185,8 +186,9 @@ def evaluate(model: GatedResNet, dataset, scale: float, *,
     if flops_model is None:
         flops_model = FlopsModel.for_model(model.spec,
                                            dataset.images.shape[2:])
-    gates, correct = _gather(model, dataset.images, dataset.labels, scale,
-                             gate_override, batch_size)
+    with no_grad():
+        gates, correct = _gather(model, dataset.images, dataset.labels,
+                                 scale, gate_override, batch_size)
     per_block = gates.mean(axis=0)
     per_block_var = gates.var(axis=0)
     totals = gates.sum(axis=1)

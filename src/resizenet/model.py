@@ -20,6 +20,7 @@ import numpy as np
 from .tensor import (
     Tensor,
     add,
+    add_rows,
     affine,
     batch_norm,
     concat_cols,
@@ -29,6 +30,7 @@ from .tensor import (
     reshape,
     scale_features,
     sigmoid,
+    take_rows,
 )
 
 
@@ -251,17 +253,25 @@ def gated_block_forward(x: Tensor, block: BlockParams, gate: Tensor,
 
     Binary gates make the branch term vanish exactly: a sample with gate 0
     comes out bitwise equal to its input (identity shortcut; block inputs
-    follow a ReLU, so the final ReLU cannot alter them).  A binary gate
-    closed on every row skips the branch altogether; mixed gates compute
-    the branch and mask it, which gives the closed rows the same values.
+    follow a ReLU, so the final ReLU cannot alter them).  With batch norm in
+    eval mode every layer of the branch is per-sample, so a binary gate runs
+    the branch on its open rows only and adds it back into those rows; a
+    gate closed on every row skips the branch altogether.  Sigmoid gates and
+    training-mode batch norm compute the branch on every row and scale it.
     """
     shortcut = _shortcut(x, block, bn_training)
-    # Never skip with batch norm in training mode: the branch's batch norms
-    # update running statistics, and a joint step gives a closed branch a
-    # zero gradient (not None), so weight decay and momentum still move it.
-    if mode is GateMode.BINARY and not bn_training and not gate.data.any():
-        # an identity shortcut follows a ReLU already, a projection does not
-        return shortcut if block.proj_conv is None else relu(shortcut)
+    # Never skip or gather with batch norm in training mode: its statistics
+    # (and the running averages it updates) depend on which rows are in the
+    # batch, and a joint step gives a closed branch a zero gradient (not
+    # None), so weight decay and momentum still move it.
+    if mode is GateMode.BINARY and not bn_training:
+        rows = np.flatnonzero(gate.data)
+        if rows.size == 0:
+            # identity shortcuts follow a ReLU already, projections do not
+            return shortcut if block.proj_conv is None else relu(shortcut)
+        if rows.size < gate.shape[0]:
+            branch = _residual_branch(take_rows(x, rows), block, False)
+            return relu(add_rows(shortcut, rows, branch))
     branch = _residual_branch(x, block, bn_training)
     return relu(add(shortcut, scale_features(branch, gate)))
 

@@ -9,11 +9,14 @@ cases; shape mismatches raise ``ShapeError`` naming the offending axes.
 Each op records its inputs and a backward rule on the output tensor, so the
 computation graph is the implicit DAG of parent links.  ``backward`` walks
 that DAG once in reverse topological order and accumulates gradients into
-every reachable tensor that has ``requires_grad`` set.
+every reachable tensor that has ``requires_grad`` set.  Inside
+:func:`no_grad` ops record nothing, so their buffers are freed as soon as
+the result no longer needs them.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +74,26 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Build no graph inside the block: op results are constants.
+
+    Ops still check their outputs for NaN/Inf, but record no parents and no
+    backward rule, so the buffers a rule would keep (conv columns, batch-norm
+    ``xhat``) are dropped with the op.  The previous mode comes back on exit,
+    also when the block raises.
+    """
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _from_op(data: np.ndarray, parents: tuple[Tensor, ...],
              rule: Callable[[np.ndarray], tuple]) -> Tensor:
     """Wrap an op result, recording parents and the backward rule."""
@@ -79,7 +102,8 @@ def _from_op(data: np.ndarray, parents: tuple[Tensor, ...],
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad
+                                              for p in parents)
     out._parents = parents if out.requires_grad else ()
     out._backward_rule = rule if out.requires_grad else None
     return out
@@ -227,6 +251,42 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
     return _from_op(out, (x, w, b), rule)
+
+
+def _check_rows(rows, n: int, op: str) -> np.ndarray:
+    rows = np.asarray(rows, dtype=np.intp)
+    _require(rows.ndim == 1 and rows.size > 0
+             and rows[0] >= 0 and rows[-1] < n
+             and bool(np.all(rows[1:] > rows[:-1])),
+             f"{op}: rows must be strictly ascending indices in [0, {n})")
+    return rows
+
+
+def take_rows(x: Tensor, rows) -> Tensor:
+    """The rows ``rows`` of ``x`` along axis 0 (strictly ascending)."""
+    rows = _check_rows(rows, x.shape[0], "take_rows")
+
+    def rule(g):
+        gx = np.zeros_like(x.data)
+        gx[rows] = g
+        return (gx,)
+
+    return _from_op(x.data[rows], (x,), rule)
+
+
+def add_rows(a: Tensor, rows, b: Tensor) -> Tensor:
+    """``a`` with ``b`` added into its rows ``rows``; other rows are copied.
+
+    ``b`` holds one row per index, so ``add_rows(a, rows, take_rows(x,
+    rows))`` adds ``x`` on those rows only.
+    """
+    rows = _check_rows(rows, a.shape[0], "add_rows")
+    _require(b.shape == (len(rows),) + a.shape[1:],
+             f"add_rows: {len(rows)} rows of {a.shape[1:]} needed, "
+             f"got {b.shape}")
+    out = a.data.copy()
+    out[rows] += b.data
+    return _from_op(out, (a, b), lambda g: (g, g[rows]))
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:

@@ -330,17 +330,11 @@ class Trainer:
         usage_sum = 0.0
         scale_sum = 0.0
 
-        noise_aug = float(self.train_data.meta.get("augment_noise", 0.0))
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             xb = self.train_data.images[idx]
             if augment:
                 xb = augment_batch(xb, self.data_rng)
-            if noise_aug > 0:
-                # fresh input noise each visit: for noisy-template data this
-                # draws a harder sample of the same distribution, which
-                # fights memorization of the stored noise
-                xb = xb + self.data_rng.normal(0.0, noise_aug, xb.shape)
             yb = self.train_data.labels[idx]
             scale = self._draw_scale()
 

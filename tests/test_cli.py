@@ -169,6 +169,19 @@ class TestEvalCommand:
             "scale,accuracy,usage_mean,usage_std,flops_mean,flops_std"
         assert len(lines) == 4
 
+    def test_eval_writes_timing_next_to_flops(self, checkpoint, dataset_spec,
+                                              tmp_path):
+        out = tmp_path / "eval"
+        main(["eval", "--checkpoint", checkpoint, "--dataset", dataset_spec,
+              "--grid", "0.2", "1.0", "--out", str(out)])
+        rows = json.loads((out / "timing.json").read_text())["rows"]
+        evals = json.loads((out / "eval.json").read_text())["rows"]
+        assert [set(r) for r in rows] == \
+            [{"scale", "flops_mean", "ms_per_sample"}] * 2
+        assert [(r["scale"], r["flops_mean"]) for r in rows] == \
+            [(r["scale"], r["flops_mean"]) for r in evals]
+        assert all(r["ms_per_sample"] > 0 for r in rows)
+
     def test_eval_grid_must_ascend(self, checkpoint, dataset_spec, tmp_path):
         code = main(["eval", "--checkpoint", checkpoint,
                      "--dataset", dataset_spec,
@@ -196,7 +209,8 @@ class TestEvalCommand:
     @pytest.mark.parametrize("old,new", [
         (b'{"crc32', b'\xff"crc32'),            # undecodable header byte
         (b'"payload_nbytes"', b'"payload_nbytez"'),  # missing header key
-    ], ids=["undecodable_byte", "missing_key"])
+        (b'"train_state": {}', b'"train_state": 5 '),  # not a JSON object
+    ], ids=["undecodable_byte", "missing_key", "train_state_not_object"])
     def test_malformed_checkpoint_header_is_data_error(
             self, checkpoint, dataset_spec, tmp_path, old, new):
         blob = open(checkpoint, "rb").read()

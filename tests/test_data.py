@@ -239,7 +239,8 @@ class TestCheckpoint:
         (lambda h: h["model"].pop("stage_blocks"), "model description"),
         (lambda h: h.update(tensors=5), "not a list"),
         (lambda h: h["tensors"][0].update(shape=[2, 2]), "does not fit"),
-    ], ids=["model_key", "manifest_type", "shape"])
+        (lambda h: h.update(train_state=5), "train_state"),
+    ], ids=["model_key", "manifest_type", "shape", "train_state"])
     def test_malformed_header_value_is_checkpoint_error(self, tmp_path,
                                                         edit, match):
         path = tmp_path / "m.ckpt"

@@ -16,6 +16,7 @@ from resizenet.metrics import (
     write_usage_map_csv,
 )
 from resizenet.model import GatedResNet, GateMode, ModelSpec
+from resizenet.tensor import softmax_cross_entropy
 
 
 TOY_SPEC = ModelSpec(stage_blocks=(4, 4, 4), channels=(16, 32, 64),
@@ -131,6 +132,28 @@ class TestEvaluate:
         np.testing.assert_array_equal(a.per_sample_macs, b.per_sample_macs)
         for name, arr in model.named_buffers():
             np.testing.assert_array_equal(arr, before[name])
+
+    def test_builds_no_graph_and_leaves_training_intact(self, setup,
+                                                        monkeypatch):
+        model, dataset = setup
+        tracked = []
+        forward = model.forward
+
+        def spy(*args, **kwargs):
+            logits, record = forward(*args, **kwargs)
+            tracked.append(logits.requires_grad)
+            return logits, record
+
+        monkeypatch.setattr(model, "forward", spy)
+        evaluate(model, dataset, 0.5, batch_size=32)
+        monkeypatch.undo()
+        assert tracked == [False, False]
+        assert all(p.grad is None for p in model.parameters())
+        logits, _ = model.forward(dataset.images[:8], 0.5,
+                                  [GateMode.SIGMOID] * model.num_blocks,
+                                  bn_training=True)
+        softmax_cross_entropy(logits, dataset.labels[:8]).backward()
+        assert all(p.grad is not None for p in model.parameters())
 
     def test_feature_free_model_has_zero_variance(self):
         spec = ModelSpec(stage_blocks=(2, 2), channels=(8, 16),

@@ -23,7 +23,9 @@ from resizenet.model import (
 from resizenet.tensor import (
     Tensor,
     add,
+    conv2d,
     grad_check,
+    mul,
     relu,
     scale_features,
     softmax_cross_entropy,
@@ -58,6 +60,18 @@ def spy_branch(monkeypatch) -> list:
         return _residual_branch(x, block, bn_training)
 
     monkeypatch.setattr(resizenet.model, "_residual_branch", spy)
+    return calls
+
+
+def spy_convs(monkeypatch) -> list:
+    """Record (kernel size, batch rows) of every conv the model runs."""
+    calls = []
+
+    def spy(x, w, stride=1, pad=0):
+        calls.append((w.shape[2], x.shape[0]))
+        return conv2d(x, w, stride=stride, pad=pad)
+
+    monkeypatch.setattr(resizenet.model, "conv2d", spy)
     return calls
 
 
@@ -244,6 +258,52 @@ class TestGatedBlockForward:
         assert out.data[0].tobytes() == self.x.data[0].tobytes()
         assert out.data[2].tobytes() == self.x.data[2].tobytes()
         assert not np.array_equal(out.data[1], self.x.data[1])
+
+    @pytest.mark.parametrize("c_out,stride", [(6, 1), (12, 2)],
+                             ids=["identity", "projection"])
+    def test_mixed_binary_gate_runs_branch_on_open_rows(self, monkeypatch,
+                                                        c_out, stride):
+        block = make_block(6, c_out, stride=stride,
+                           rng=np.random.default_rng(12))
+        shortcut = _shortcut(self.x, block, False).data
+        branch = _residual_branch(self.x, block, False).data
+        convs = spy_convs(monkeypatch)
+        out = gated_block_forward(self.x, block, Tensor([1.0, 0.0, 1.0]),
+                                  GateMode.BINARY)
+        # the two 3x3 branch convs see the open rows, a 1x1 projection all
+        assert [rows for k, rows in convs if k == 3] == [2, 2]
+        assert [rows for k, rows in convs if k == 1] == \
+            ([3] if block.proj_conv is not None else [])
+        assert out.data[1].tobytes() == \
+            np.maximum(shortcut[1], 0.0).tobytes()
+        np.testing.assert_allclose(out.data[[0, 2]],
+                                   np.maximum(shortcut + branch, 0.0)[[0, 2]],
+                                   rtol=0, atol=1e-12)
+
+    def test_mixed_gate_in_bn_training_runs_branch_on_every_row(
+            self, monkeypatch):
+        convs = spy_convs(monkeypatch)
+        gated_block_forward(self.x, self.block, Tensor([1.0, 0.0, 1.0]),
+                            GateMode.BINARY, bn_training=True)
+        assert convs == [(3, 3), (3, 3)]
+
+    def test_open_rows_path_gradients(self):
+        # gate-only training: eval batch norm, mixed binary gate; gradients
+        # reach the input (and the frozen-in-practice weights) through the
+        # row ops
+        rng = np.random.default_rng(13)
+        x = Tensor(self.x.data.copy(), requires_grad=True)
+        r = Tensor(rng.standard_normal(self.x.shape))
+        gate = Tensor([0.0, 1.0, 1.0])
+        for bn in (self.block.bn1, self.block.bn2):
+            bn.running_mean[...] = rng.standard_normal(6) * 0.1
+            bn.running_var[...] = rng.uniform(0.5, 2.0, 6)
+
+        def loss():
+            return sum_all(mul(gated_block_forward(
+                x, self.block, gate, GateMode.BINARY), r))
+
+        assert grad_check(loss, [x, self.block.conv1]) < 1e-4
 
     def test_sigmoid_gate_is_never_skipped(self, monkeypatch):
         calls = spy_branch(monkeypatch)

@@ -12,6 +12,7 @@ from resizenet.tensor import (
     _im2col,
     add,
     add_n,
+    add_rows,
     add_scalar,
     affine,
     backward,
@@ -23,11 +24,13 @@ from resizenet.tensor import (
     mean_all,
     mul,
     mul_scalar,
+    no_grad,
     relu,
     scale_features,
     sigmoid,
     softmax_cross_entropy,
     sum_all,
+    take_rows,
 )
 
 
@@ -522,3 +525,83 @@ class TestMiscOps:
         assert out.item() == 3.0
         out.backward()
         np.testing.assert_array_equal(x.grad, [0.5, 0.5])
+
+
+class TestRowOps:
+    def test_take_rows_gathers_along_batch(self):
+        x = Tensor(np.arange(24.0).reshape(4, 2, 3))
+        np.testing.assert_array_equal(take_rows(x, [1, 3]).data,
+                                      x.data[[1, 3]])
+
+    def test_add_rows_adds_into_rows_and_copies_the_rest(self):
+        rng = np.random.default_rng(23)
+        a = Tensor(rng.standard_normal((4, 2, 3, 3)))
+        b = Tensor(rng.standard_normal((2, 2, 3, 3)))
+        out = add_rows(a, [0, 2], b)
+        for i in (1, 3):
+            assert out.data[i].tobytes() == a.data[i].tobytes()
+        np.testing.assert_array_equal(out.data[[0, 2]],
+                                      a.data[[0, 2]] + b.data)
+
+    def test_take_rows_gradients(self):
+        rng = np.random.default_rng(24)
+        x = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+        r = Tensor(rng.standard_normal((2, 2, 3, 3)))
+        err = grad_check(lambda: sum_all(mul(take_rows(x, [1, 3]), r)), [x])
+        assert err < 1e-6
+
+    def test_add_rows_gradients(self):
+        rng = np.random.default_rng(25)
+        a = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+        r = Tensor(rng.standard_normal((4, 2, 3, 3)))
+        err = grad_check(lambda: sum_all(mul(add_rows(a, [0, 2], b), r)),
+                         [a, b])
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("rows", [[], [2, 1], [1, 1], [0, 4], [-1, 2]],
+                             ids=["empty", "descending", "repeated",
+                                  "past_end", "negative"])
+    def test_rows_must_be_ascending_indices(self, rows):
+        x = Tensor(np.zeros((4, 2)))
+        with pytest.raises(ShapeError, match="ascending"):
+            take_rows(x, rows)
+        with pytest.raises(ShapeError, match="ascending"):
+            add_rows(x, rows, Tensor(np.zeros((len(rows), 2))))
+
+    def test_add_rows_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="add_rows"):
+            add_rows(Tensor(np.zeros((4, 2))), [0, 1],
+                     Tensor(np.zeros((2, 3))))
+
+
+class TestNoGrad:
+    def test_ops_inside_record_no_graph(self):
+        rng = np.random.default_rng(26)
+        x = Tensor(rng.standard_normal((2, 3, 5, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        with no_grad():
+            y = sum_all(relu(conv2d(x, w, pad=1)))
+        assert not y.requires_grad
+        assert y._parents == () and y._backward_rule is None
+        with_graph = sum_all(relu(conv2d(x, w, pad=1)))
+        assert with_graph.requires_grad
+        assert y.data.tobytes() == with_graph.data.tobytes()
+
+    def test_nonfinite_check_still_runs(self):
+        with no_grad(), np.errstate(over="ignore"), \
+                pytest.raises(NonFiniteError):
+            mul_scalar(Tensor([1e308]), 10.0)
+
+    def test_previous_mode_returns_after_exception(self):
+        x = Tensor([1.0, -1.0], requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not relu(x).requires_grad
+                raise RuntimeError("inside")
+        y = relu(x)
+        assert y.requires_grad and y._parents == (x,)
+        sum_all(y).backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 0.0])
