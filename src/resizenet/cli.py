@@ -61,8 +61,8 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 def parse_model_spec(obj: dict) -> ModelSpec:
     _check_keys(obj, {"stage_blocks", "channels", "num_classes",
-                      "in_channels", "reduction", "gate_train_prob",
-                      "use_feature_input"}, "model")
+                      "in_channels", "reduction", "use_feature_input"},
+                "model")
     try:
         return ModelSpec.from_dict(obj)
     except (KeyError, ValueError, TypeError) as exc:
@@ -162,7 +162,6 @@ def _json_or_file(value: str) -> dict:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config) if args.config else {}
-    model_obj = dict(config.get("model", {}))
     train_obj = dict(config.get("train", {}))
     dataset_obj = dict(config.get("dataset",
                                   {"kind": "synthetic", "m": 1024}))
@@ -170,10 +169,9 @@ def cmd_train(args) -> int:
     if not out_dir:
         raise ConfigError("no output directory (use --out or out_dir)")
 
-    # flag overrides
+    # flag overrides; without --mode the train section picks the regime
     if args.mode == "gated":
         train_obj["baseline_mode"] = "none"
-        train_obj.setdefault("scale_range", (0.2, 1.0))
         train_obj["scale_fixed"] = None
     elif args.mode == "fixed":
         train_obj["baseline_mode"] = "none"
@@ -191,11 +189,9 @@ def cmd_train(args) -> int:
         train_obj["scale_fixed"] = fx
     elif args.mode == "baseline-random":
         train_obj["baseline_mode"] = "random_drop"
-        train_obj.setdefault("scale_range", (0.2, 1.0))
         train_obj["scale_fixed"] = None
     if args.p is not None:
         train_obj["p"] = args.p
-        model_obj["gate_train_prob"] = args.p
     if args.beta is not None:
         train_obj["beta"] = args.beta
     if args.range is not None:
@@ -205,7 +201,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         train_obj["seed"] = args.seed
 
-    spec = parse_model_spec(model_obj)
+    spec = parse_model_spec(config.get("model", {}))
     cfg = parse_train_config(train_obj)
     train_data = load_dataset_spec(dataset_obj, "train")
     val_data = load_dataset_spec(dataset_obj, "val")
@@ -263,8 +259,7 @@ def _sweep(args, gate_override: GateMode | None = None):
 
 
 def cmd_eval(args) -> int:
-    override = {"sigmoid": GateMode.SIGMOID, "binary": GateMode.BINARY,
-                None: None}[args.gate_override]
+    override = GateMode.SIGMOID if args.gate_override else None
     _, fm, results, seconds = _sweep(args, override)
     rows = [r.summary() for r in results]
     os.makedirs(args.out, exist_ok=True)
@@ -340,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", help="output directory")
     p_train.add_argument("--mode",
                          choices=("gated", "fixed", "baseline-random"),
-                         default="gated")
+                         help="training regime; overrides the config's "
+                              "train section when given")
     p_train.add_argument("--p", type=float,
                          help="probability of the differentiable gate form")
     p_train.add_argument("--beta", type=float,
@@ -371,8 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p_eval = eval_like("eval", "accuracy/usage/cost across a scale grid")
-    p_eval.add_argument("--gate-override", choices=("sigmoid", "binary"),
-                        default=None)
+    p_eval.add_argument("--gate-override", choices=("sigmoid",),
+                        help="evaluate with sigmoid gates instead of the "
+                             "binary default")
     p_eval.set_defaults(func=cmd_eval)
 
     p_map = eval_like("usage-map", "per-block usage across a scale grid")

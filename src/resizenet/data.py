@@ -6,13 +6,14 @@ for minutes-scale training) and the standard small-image binary format of
 32x32; the 3074-byte coarse+fine variant is also accepted).
 
 Checkpoints are a length-prefixed JSON header (architecture, tensor
-manifest, normalization metadata), a concatenated little-endian float32
+manifest, train state), a concatenated little-endian float32
 payload, and a trailing CRC32 over the payload that is also recorded in
 the header.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -100,16 +101,6 @@ def make_synthetic(m: int, k: int = 4, h: int = 8, seed: int = 0, *,
                          "seed": seed, "augment": False})
 
 
-def nearest_template_accuracy(dataset: Dataset) -> float:
-    """Oracle for the synthetic task: classify by closest class template."""
-    templates = dataset.meta["templates"]
-    k = templates.shape[0]
-    flat = dataset.images.reshape(len(dataset), -1)
-    tflat = templates.reshape(k, -1)
-    d2 = ((flat[:, None, :] - tflat[None, :, :]) ** 2).sum(axis=2)
-    return float((np.argmin(d2, axis=1) == dataset.labels).mean())
-
-
 def load_cifar_binary(path, *, num_classes: int = 10,
                       record_format: str = "cifar10",
                       means: tuple = CIFAR10_MEANS,
@@ -168,8 +159,8 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator, *,
 # -- checkpoints --------------------------------------------------------------
 
 
-def save_checkpoint(path, model: GatedResNet, train_state: dict | None = None,
-                    extra_meta: dict | None = None) -> None:
+def save_checkpoint(path, model: GatedResNet,
+                    train_state: dict | None = None) -> None:
     """Serialize parameters and batch-norm state as float32.
 
     ``train_state`` holds JSON scalars such as the epoch counter; optimizer
@@ -196,8 +187,7 @@ def save_checkpoint(path, model: GatedResNet, train_state: dict | None = None,
               "tensors": manifest,
               "payload_nbytes": len(payload),
               "crc32": crc,
-              "train_state": train_state or {},
-              "meta": extra_meta or {}}
+              "train_state": train_state or {}}
     header_bytes = json.dumps(header, sort_keys=True).encode()
 
     with open(path, "wb") as fh:
@@ -205,6 +195,11 @@ def save_checkpoint(path, model: GatedResNet, train_state: dict | None = None,
         fh.write(header_bytes)
         fh.write(payload)
         fh.write(struct.pack("<I", crc))
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 0
 
 
 def _require_keys(obj, keys: tuple[str, ...], what: str) -> None:
@@ -231,7 +226,7 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
         raise CheckpointError(f"{path}: header length field exceeds file")
     try:
         header = json.loads(blob[8:8 + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     _require_keys(header, ("payload_nbytes", "crc32", "model", "tensors"),
                   f"{path}: header")
@@ -277,33 +272,34 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
     for entry in header["tensors"]:
         _require_keys(entry, ("name", "shape", "offset", "nbytes"),
                       f"{path}: tensor entry")
+        name, shape = entry["name"], entry["shape"]
         start, nbytes = entry["offset"], entry["nbytes"]
+        if not (isinstance(name, str) and _is_count(start)
+                and _is_count(nbytes)):
+            raise CheckpointError(
+                f"{path}: tensor entry {name!r} needs a string name and "
+                f"non-negative integer offset and nbytes")
         if start + nbytes > len(payload):
             raise CheckpointError(
-                f"{path}: tensor {entry['name']} overruns the payload")
-        arr = np.frombuffer(payload[start:start + nbytes], dtype="<f4")
-        try:
-            arr = arr.reshape(entry["shape"])
-        except (TypeError, ValueError) as exc:
+                f"{path}: tensor {name} overruns the payload")
+        if not (isinstance(shape, list) and all(map(_is_count, shape))) \
+                or 4 * math.prod(shape) != nbytes:
             raise CheckpointError(
-                f"{path}: tensor {entry['name']} does not fit shape "
-                f"{entry['shape']}") from exc
-        arrays[entry["name"]] = arr.astype(np.float64)
+                f"{path}: tensor {name} does not fit shape {shape}")
+        arr = np.frombuffer(payload[start:start + nbytes], dtype="<f4")
+        arrays[name] = arr.reshape(shape).astype(np.float64)
 
     model = GatedResNet(spec, np.random.default_rng(0))
-    for name, t in model.named_parameters():
-        key = f"param/{name}"
+    targets = [(f"param/{name}", t.data)
+               for name, t in model.named_parameters()]
+    targets += [(f"buffer/{name}", arr) for name, arr in model.named_buffers()]
+    for key, target in targets:
         if key not in arrays:
             raise CheckpointError(f"{path}: missing tensor {key}")
-        if tuple(arrays[key].shape) != t.shape:
+        if arrays[key].shape != target.shape:
             raise ArchitectureMismatchError(
                 f"{path}: tensor {key} has shape {arrays[key].shape}, "
-                f"model expects {t.shape}")
-        t.data[...] = arrays[key]
-    for name, arr in model.named_buffers():
-        key = f"buffer/{name}"
-        if key not in arrays:
-            raise CheckpointError(f"{path}: missing tensor {key}")
-        arr[...] = arrays[key]
+                f"model expects {target.shape}")
+        target[...] = arrays[key]
 
     return model, dict(train_state)

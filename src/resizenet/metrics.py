@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GatedResNet, GateMode, ModelSpec, _check_scale
+from .model import (
+    GatedResNet,
+    GateMode,
+    ModelSpec,
+    _check_scale,
+    gate_hidden_width,
+)
 from .tensor import no_grad
 
 
@@ -97,30 +103,20 @@ class FlopsModel:
     def for_model(cls, spec: ModelSpec, input_hw: tuple[int, int]
                   ) -> "FlopsModel":
         h, w = input_hw
-        stem = count_macs(ConvLayer(spec.in_channels, spec.channels[0], 3,
-                                    _conv_out(h, 3, 1, 1),
-                                    _conv_out(w, 3, 1, 1)))
         h, w = _conv_out(h, 3, 1, 1), _conv_out(w, 3, 1, 1)
+        stem = count_macs(ConvLayer(spec.in_channels, spec.channels[0], 3,
+                                    h, w))
 
         gate_macs, block_macs, proj_macs = [], [], []
-        c_in = spec.channels[0]
-        for stage, (n_blocks, c_out) in enumerate(
-                zip(spec.stage_blocks, spec.channels)):
-            for i in range(n_blocks):
-                stride = 2 if (stage > 0 and i == 0) else 1
-                ho, wo = _conv_out(h, 3, stride, 1), _conv_out(w, 3, stride, 1)
-                branch = count_macs(ConvLayer(c_in, c_out, 3, ho, wo)) \
-                    + count_macs(ConvLayer(c_out, c_out, 3, ho, wo))
-                needs_proj = stride != 1 or c_in != c_out
-                proj = count_macs(ConvLayer(c_in, c_out, 1, ho, wo)) \
-                    if needs_proj else 0
-                dh = max(1, -(-(c_in + 1) // spec.reduction))
-                gate = count_macs(LinearLayer(c_in + 1, dh)) \
-                    + count_macs(LinearLayer(dh, 1))
-                block_macs.append(branch)
-                proj_macs.append(proj)
-                gate_macs.append(gate)
-                c_in, h, w = c_out, ho, wo
+        for c_in, c_out, stride, needs_proj in spec.block_shapes():
+            h, w = _conv_out(h, 3, stride, 1), _conv_out(w, 3, stride, 1)
+            block_macs.append(count_macs(ConvLayer(c_in, c_out, 3, h, w))
+                              + count_macs(ConvLayer(c_out, c_out, 3, h, w)))
+            proj_macs.append(count_macs(ConvLayer(c_in, c_out, 1, h, w))
+                             if needs_proj else 0)
+            dh = gate_hidden_width(c_in, spec.reduction)
+            gate_macs.append(count_macs(LinearLayer(c_in + 1, dh))
+                             + count_macs(LinearLayer(dh, 1)))
 
         head = count_macs(LinearLayer(spec.channels[-1], spec.num_classes))
         return cls(stem_macs=stem, head_macs=head,
@@ -211,14 +207,6 @@ def write_usage_map_csv(path, s_grid, matrix: np.ndarray) -> None:
         fh.write(",".join(repr(float(s)) for s in s_grid) + "\n")
         for row in matrix:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def read_usage_map_csv(path) -> tuple[list[float], np.ndarray]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    s_grid = [float(v) for v in lines[0].split(",")]
-    matrix = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    return s_grid, matrix
 
 
 def budget_to_scale(calibration: list[tuple[float, float]],

@@ -11,9 +11,10 @@ whose gate is 0 are genuinely skippable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,6 +48,13 @@ def _check_scale(scale: float) -> float:
     return scale
 
 
+def gate_hidden_width(c_in: int, reduction: int) -> int:
+    """Bottleneck width of a gate module on a C-channel block input: the
+    C+1 inputs (pooled features plus the scale) divided by ``reduction``,
+    rounded up."""
+    return max(1, -(-(c_in + 1) // reduction))
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Architecture description; serialized verbatim into checkpoints."""
@@ -55,20 +63,43 @@ class ModelSpec:
     num_classes: int = 4
     in_channels: int = 3
     reduction: int = 2
-    gate_train_prob: float = 0.1
     use_feature_input: bool = True
 
     def __post_init__(self):
-        if len(self.stage_blocks) != len(self.channels):
+        if not self.stage_blocks or \
+                len(self.stage_blocks) != len(self.channels):
             raise ValueError("stage_blocks and channels must pair up")
-        if not 0.0 <= self.gate_train_prob <= 1.0:
-            raise ValueError("gate_train_prob must lie in [0, 1]")
-        if self.reduction < 1:
-            raise ValueError("reduction must be >= 1")
+        for name, values in (("stage_blocks", self.stage_blocks),
+                             ("channels", self.channels),
+                             ("num_classes", [self.num_classes]),
+                             ("in_channels", [self.in_channels]),
+                             ("reduction", [self.reduction])):
+            for v in values:
+                if isinstance(v, bool) or \
+                        not isinstance(v, numbers.Integral) or v < 1:
+                    raise ValueError(
+                        f"{name} must hold integers >= 1, got {v!r}")
+        if not isinstance(self.use_feature_input, bool):
+            raise ValueError("use_feature_input must be true or false")
 
     @property
     def num_blocks(self) -> int:
         return sum(self.stage_blocks)
+
+    def block_shapes(self) -> list[tuple[int, int, int, bool]]:
+        """``(c_in, c_out, stride, needs_projection)`` per block, in forward
+        order.  The first block of every stage after the first halves the
+        resolution; a block that changes resolution or width needs a 1x1
+        projection on its shortcut."""
+        shapes, c_in = [], self.channels[0]
+        for stage, (n_blocks, c_out) in enumerate(
+                zip(self.stage_blocks, self.channels)):
+            for i in range(n_blocks):
+                stride = 2 if (stage > 0 and i == 0) else 1
+                shapes.append((c_in, c_out, stride,
+                               stride != 1 or c_in != c_out))
+                c_in = c_out
+        return shapes
 
     def to_dict(self) -> dict:
         return {
@@ -77,18 +108,18 @@ class ModelSpec:
             "num_classes": self.num_classes,
             "in_channels": self.in_channels,
             "reduction": self.reduction,
-            "gate_train_prob": self.gate_train_prob,
             "use_feature_input": self.use_feature_input,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
+        """Keys it does not list, such as ``gate_train_prob`` in older
+        checkpoints, are ignored."""
         return cls(stage_blocks=tuple(d["stage_blocks"]),
                    channels=tuple(d["channels"]),
                    num_classes=d["num_classes"],
                    in_channels=d.get("in_channels", 3),
                    reduction=d.get("reduction", 2),
-                   gate_train_prob=d.get("gate_train_prob", 0.1),
                    use_feature_input=d.get("use_feature_input", True))
 
 
@@ -128,7 +159,7 @@ class GateParams:
     """Two affine maps around a reduction bottleneck, one gate per sample.
 
     Input width is C+1 (pooled features plus the scale value); hidden width
-    is ceil((C+1)/reduction).
+    is ``gate_hidden_width(C, reduction)``.
     """
     w1: Tensor
     b1: Tensor
@@ -143,7 +174,7 @@ class GateParams:
     def create(cls, c: int, reduction: int,
                rng: np.random.Generator) -> "GateParams":
         din = c + 1
-        dh = max(1, math.ceil(din / reduction))
+        dh = gate_hidden_width(c, reduction)
         w1 = rng.standard_normal((din, dh)) * math.sqrt(2.0 / din)
         # the scale input feeds every hidden unit with a fixed positive
         # weight, so scale sensitivity is first-order learnable by the head
@@ -167,15 +198,10 @@ class GateRecord:
     recorded as constants and contribute no gradient.
     """
     gate_tensors: list[Tensor]
-    modes: list[GateMode]
 
     @property
     def num_blocks(self) -> int:
         return len(self.gate_tensors)
-
-    @property
-    def batch_size(self) -> int:
-        return self.gate_tensors[0].shape[0]
 
     @property
     def gates(self) -> np.ndarray:
@@ -281,7 +307,6 @@ class GatedResNet:
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         self.spec = spec
-        self.gate_train_prob = spec.gate_train_prob
         self.use_feature_input = spec.use_feature_input
 
         c0 = spec.channels[0]
@@ -291,28 +316,22 @@ class GatedResNet:
 
         self.blocks: list[BlockParams] = []
         self.gate_modules: list[GateParams] = []
-        c_in = c0
-        for stage, (n_blocks, c_out) in enumerate(
-                zip(spec.stage_blocks, spec.channels)):
-            for i in range(n_blocks):
-                stride = 2 if (stage > 0 and i == 0) else 1
-                needs_proj = stride != 1 or c_in != c_out
-                block = BlockParams(
-                    conv1=Tensor(_he_conv(c_in, c_out, 3, rng),
-                                 requires_grad=True),
-                    bn1=BnParams.create(c_out),
-                    conv2=Tensor(_he_conv(c_out, c_out, 3, rng),
-                                 requires_grad=True),
-                    bn2=BnParams.create(c_out),
-                    stride=stride,
-                    proj_conv=Tensor(_he_conv(c_in, c_out, 1, rng),
-                                     requires_grad=True) if needs_proj else None,
-                    proj_bn=BnParams.create(c_out) if needs_proj else None,
-                )
-                self.blocks.append(block)
-                self.gate_modules.append(
-                    GateParams.create(c_in, spec.reduction, rng))
-                c_in = c_out
+        for c_in, c_out, stride, needs_proj in spec.block_shapes():
+            block = BlockParams(
+                conv1=Tensor(_he_conv(c_in, c_out, 3, rng),
+                             requires_grad=True),
+                bn1=BnParams.create(c_out),
+                conv2=Tensor(_he_conv(c_out, c_out, 3, rng),
+                             requires_grad=True),
+                bn2=BnParams.create(c_out),
+                stride=stride,
+                proj_conv=Tensor(_he_conv(c_in, c_out, 1, rng),
+                                 requires_grad=True) if needs_proj else None,
+                proj_bn=BnParams.create(c_out) if needs_proj else None,
+            )
+            self.blocks.append(block)
+            self.gate_modules.append(
+                GateParams.create(c_in, spec.reduction, rng))
 
         c_last = spec.channels[-1]
         self.head_w = Tensor(
@@ -351,7 +370,7 @@ class GatedResNet:
                                     bn_training=bn_training)
             gates.append(gate)
         logits = self._head(h)
-        return logits, GateRecord(gates, list(modes))
+        return logits, GateRecord(gates)
 
     def _stem(self, x: Tensor, bn_training: bool) -> Tensor:
         h = conv2d(x, self.stem_conv, stride=1, pad=1)

@@ -276,8 +276,6 @@ class Trainer:
     def train_phase_gate_only(self) -> None:
         """Update only the gate modules; the backbone is frozen bit-for-bit
         and batch norm stays in eval mode so running stats survive."""
-        if not self.model.gate_modules:
-            raise ValueError("model has no gate modules to train")
         backbone = self.model.backbone_parameters()
         for p in backbone:
             p.requires_grad = False  # prune their backward work

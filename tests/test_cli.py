@@ -113,6 +113,17 @@ class TestTrainCommand:
         assert code == EXIT_USAGE
         assert "output directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", [
+        {**SMALL_MODEL, "stage_blocks": [1.5]},
+        {**SMALL_MODEL, "channels": [0]},
+    ], ids=["stage_blocks_float", "channels_zero"])
+    def test_malformed_model_value_is_usage_error(self, run_config, model,
+                                                  capsys):
+        cfg = json.loads(run_config.read_text())
+        run_config.write_text(json.dumps({**cfg, "model": model}))
+        assert main(["train", "--config", str(run_config)]) == EXIT_USAGE
+        assert "bad model spec" in capsys.readouterr().err
+
     def test_fixed_mode_needs_target(self, run_config):
         code = main(["train", "--config", str(run_config),
                      "--mode", "fixed"])
@@ -142,6 +153,39 @@ class TestTrainCommand:
                      "--init-from", checkpoint,
                      "--out", str(tmp_path / "warm")])
         assert code == EXIT_OK
+
+    def test_init_from_checkpoint_with_p_flag(self, run_config, checkpoint,
+                                              tmp_path):
+        # --p sets the training regime only, not the architecture
+        code = main(["train", "--config", str(run_config),
+                     "--init-from", checkpoint, "--p", "0.5",
+                     "--out", str(tmp_path / "warm")])
+        assert code == EXIT_OK
+
+    def _config_with_train(self, run_config, **train):
+        cfg = json.loads(run_config.read_text())
+        cfg["train"].update(train)
+        run_config.write_text(json.dumps(cfg))
+        return run_config
+
+    def test_config_regime_applies_without_mode_flag(self, run_config,
+                                                     tmp_path):
+        path = self._config_with_train(run_config,
+                                       baseline_mode="random_drop")
+        assert main(["train", "--config", str(path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["baseline_mode"] == "random_drop"
+        rows = (tmp_path / "run" / "epochs.csv").read_text().splitlines()
+        assert all(",baseline," in row for row in rows[1:])
+
+    def test_config_fixed_scale_applies_without_mode_flag(self, run_config,
+                                                          tmp_path):
+        path = self._config_with_train(
+            run_config, scale_range=None,
+            scale_fixed={"scale": 0.5, "sigma": 0.0, "anneal_epochs": 0})
+        assert main(["train", "--config", str(path)]) == EXIT_OK
+        rows = (tmp_path / "run" / "epochs.csv").read_text().splitlines()
+        assert all(row.endswith(",0.5") for row in rows[1:])
 
     def test_init_from_mismatched_checkpoint_is_data_error(
             self, run_config, tmp_path):
@@ -191,13 +235,14 @@ class TestEvalCommand:
     def test_gate_override_changes_costs(self, checkpoint, dataset_spec,
                                          tmp_path):
         rows = {}
-        for mode in ("binary", "sigmoid"):
+        for mode, flags in (("default", []),
+                            ("sigmoid", ["--gate-override", "sigmoid"])):
             out = tmp_path / mode
             main(["eval", "--checkpoint", checkpoint,
                   "--dataset", dataset_spec, "--grid", "0.5",
-                  "--gate-override", mode, "--out", str(out)])
+                  "--out", str(out)] + flags)
             rows[mode] = json.loads((out / "eval.json").read_text())["rows"]
-        assert rows["binary"][0]["usage_mean"] != \
+        assert rows["default"][0]["usage_mean"] != \
             rows["sigmoid"][0]["usage_mean"]
 
     def test_missing_checkpoint_is_data_error(self, dataset_spec, tmp_path):
@@ -210,7 +255,11 @@ class TestEvalCommand:
         (b'{"crc32', b'\xff"crc32'),            # undecodable header byte
         (b'"payload_nbytes"', b'"payload_nbytez"'),  # missing header key
         (b'"train_state": {}', b'"train_state": 5 '),  # not a JSON object
-    ], ids=["undecodable_byte", "missing_key", "train_state_not_object"])
+        (b'"offset": 0, ', b'"offset":"0",'),    # offset is a string
+        (b'"stage_blocks": [2], ', b'"stage_blocks":[1.5],'),  # fractional
+        (b'"channels": [8]', b'"channels": [0]'),    # zero width
+    ], ids=["undecodable_byte", "missing_key", "train_state_not_object",
+            "offset_string", "stage_blocks_float", "channels_zero"])
     def test_malformed_checkpoint_header_is_data_error(
             self, checkpoint, dataset_spec, tmp_path, old, new):
         blob = open(checkpoint, "rb").read()
@@ -252,8 +301,8 @@ class TestUsageMapCommand:
               "--out", str(tmp_path / "m")])
         main(["eval", "--checkpoint", checkpoint, "--dataset", dataset_spec,
               "--grid", "0.4", "0.9", "--out", str(tmp_path / "e")])
-        from resizenet.metrics import read_usage_map_csv
-        _, matrix = read_usage_map_csv(tmp_path / "m" / "usage_map.csv")
+        matrix = np.loadtxt(tmp_path / "m" / "usage_map.csv",
+                            delimiter=",", skiprows=1)
         rows = json.loads(
             (tmp_path / "e" / "eval.json").read_text())["rows"]
         for j, row in enumerate(rows):

@@ -16,12 +16,21 @@ from resizenet.data import (
     load_cifar_binary,
     load_checkpoint,
     make_synthetic,
-    nearest_template_accuracy,
     save_checkpoint,
 )
 from resizenet.data import DatasetFormatError
 from resizenet.metrics import evaluate
 from resizenet.model import GatedResNet, ModelSpec
+
+
+def nearest_template_accuracy(dataset: Dataset) -> float:
+    """Oracle for the synthetic task: classify by closest class template."""
+    templates = dataset.meta["templates"]
+    k = templates.shape[0]
+    flat = dataset.images.reshape(len(dataset), -1)
+    tflat = templates.reshape(k, -1)
+    d2 = ((flat[:, None, :] - tflat[None, :, :]) ** 2).sum(axis=2)
+    return float((np.argmin(d2, axis=1) == dataset.labels).mean())
 
 
 class TestMakeSynthetic:
@@ -240,7 +249,20 @@ class TestCheckpoint:
         (lambda h: h.update(tensors=5), "not a list"),
         (lambda h: h["tensors"][0].update(shape=[2, 2]), "does not fit"),
         (lambda h: h.update(train_state=5), "train_state"),
-    ], ids=["model_key", "manifest_type", "shape", "train_state"])
+        (lambda h: h["tensors"][0].update(offset="0"), "offset"),
+        (lambda h: h["tensors"][0].update(nbytes=-4), "nbytes"),
+        (lambda h: h["tensors"][0].update(name=["x"]), "name"),
+        (lambda h: h["model"].update(stage_blocks=[1.5, 1]),
+         "stage_blocks"),
+        (lambda h: h["model"].update(channels=[0, 8]), "channels"),
+        (lambda h: h["model"].update(reduction=0), "reduction"),
+        (lambda h: next(e for e in h["tensors"]
+                        if e["name"] == "buffer/stem.bn.mean"
+                        ).update(shape=[2, 4]), "model expects"),
+    ], ids=["model_key", "manifest_type", "shape", "train_state",
+            "offset_string", "nbytes_negative", "name_list",
+            "stage_blocks_float", "channels_zero", "reduction_zero",
+            "buffer_shape"])
     def test_malformed_header_value_is_checkpoint_error(self, tmp_path,
                                                         edit, match):
         path = tmp_path / "m.ckpt"
@@ -248,6 +270,21 @@ class TestCheckpoint:
         _edit_header(path, edit)
         with pytest.raises(CheckpointError, match=match):
             load_checkpoint(path)
+
+    def test_deeply_nested_header_is_checkpoint_error(self, tmp_path):
+        raw = b"[" * 100_000 + b"]" * 100_000
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(struct.pack("<Q", len(raw)) + raw + bytes(4))
+        with pytest.raises(CheckpointError, match="unreadable header"):
+            load_checkpoint(path)
+
+    def test_header_with_gate_train_prob_still_loads(self, tmp_path):
+        # checkpoints written before the key was dropped carry it
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._model())
+        _edit_header(path, lambda h: h["model"].update(gate_train_prob=0.7))
+        loaded, _ = load_checkpoint(path, expected_spec=self.SPEC)
+        assert loaded.spec == self.SPEC
 
     def test_train_state_roundtrip(self, tmp_path):
         model = self._model()

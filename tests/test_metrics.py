@@ -12,7 +12,6 @@ from resizenet.metrics import (
     count_macs,
     evaluate,
     monotone_envelope,
-    read_usage_map_csv,
     write_usage_map_csv,
 )
 from resizenet.model import GatedResNet, GateMode, ModelSpec
@@ -85,6 +84,47 @@ class TestFlopsModel:
         mixed = np.zeros(n)
         mixed[3] = 1.0
         assert fm.sample_macs(mixed)[0] == fm.fixed_macs + fm.block_macs[3]
+
+    @pytest.mark.parametrize("spec,hw", [
+        (TOY_SPEC, (8, 8)),
+        (ModelSpec(stage_blocks=(2, 1, 2), channels=(6, 10, 10),
+                   num_classes=3, in_channels=2, reduction=3), (7, 7)),
+    ], ids=["toy", "odd_input_reduction3"])
+    def test_matches_macs_of_executed_layers(self, spec, hw, monkeypatch):
+        # count Cin*Cout*k^2*Ho*Wo per conv and Din*Dout per affine map
+        # that one sample's forward pass actually runs
+        import resizenet.model as model_mod
+        counted = []
+        conv2d, affine = model_mod.conv2d, model_mod.affine
+
+        def spy_conv(x, w, *args, **kwargs):
+            out = conv2d(x, w, *args, **kwargs)
+            counted.append(w.data.size * out.shape[2] * out.shape[3])
+            return out
+
+        def spy_affine(x, w, b):
+            counted.append(w.data.size)
+            return affine(x, w, b)
+
+        monkeypatch.setattr(model_mod, "conv2d", spy_conv)
+        monkeypatch.setattr(model_mod, "affine", spy_affine)
+        fm = FlopsModel.for_model(spec, hw)
+        model = GatedResNet(spec, np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal(
+            (1, spec.in_channels) + hw)
+
+        def macs_with_open(open_blocks):
+            for i, g in enumerate(model.gate_modules):
+                g.b2.data[...] = 10.0 if i in open_blocks else -10.0
+            counted.clear()
+            model.forward(x, 0.5)
+            return sum(counted)
+
+        n = model.num_blocks
+        assert macs_with_open(range(n)) == fm.total_macs
+        assert macs_with_open(()) == fm.fixed_macs
+        for i in range(n):
+            assert macs_with_open({i}) == fm.fixed_macs + fm.block_macs[i]
 
     def test_sample_macs_validates_width(self):
         fm = FlopsModel.for_model(TOY_SPEC, (8, 8))
@@ -186,9 +226,9 @@ class TestUsageMap:
         matrix = np.array([[0.0, 0.5, 1.0], [1.0, 1.0, 1.0]])
         path = tmp_path / "map.csv"
         write_usage_map_csv(path, grid, matrix)
-        grid2, matrix2 = read_usage_map_csv(path)
-        assert grid2 == grid
-        np.testing.assert_array_equal(matrix2, matrix)
+        table = np.loadtxt(path, delimiter=",")
+        assert table[0].tolist() == grid
+        np.testing.assert_array_equal(table[1:], matrix)
 
 
 class TestBudgetToScale:

@@ -4,7 +4,7 @@ composition of the joint objective."""
 import numpy as np
 import pytest
 
-from resizenet.model import GateMode, GateRecord
+from resizenet.model import GateRecord
 from resizenet.objective import LossBreakdown, scale_loss, total_loss
 from resizenet.tensor import Tensor, softmax_cross_entropy
 
@@ -16,12 +16,8 @@ def make_record(gates_matrix, sigmoid_mask=None):
     n = gates_matrix.shape[1]
     if sigmoid_mask is None:
         sigmoid_mask = [True] * n
-    tensors, modes = [], []
-    for j in range(n):
-        sig = sigmoid_mask[j]
-        tensors.append(Tensor(gates_matrix[:, j], requires_grad=sig))
-        modes.append(GateMode.SIGMOID if sig else GateMode.BINARY)
-    return GateRecord(tensors, modes)
+    return GateRecord([Tensor(gates_matrix[:, j], requires_grad=sig)
+                       for j, sig in enumerate(sigmoid_mask)])
 
 
 def oracle_scale_loss(gates_matrix, scale):
@@ -102,7 +98,7 @@ class TestScaleLoss:
 
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            scale_loss(GateRecord([], []), 0.5)
+            scale_loss(GateRecord([]), 0.5)
 
 
 class TestTotalLoss:
