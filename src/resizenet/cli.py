@@ -170,26 +170,28 @@ def cmd_train(args) -> int:
         raise ConfigError("no output directory (use --out or out_dir)")
 
     # flag overrides; without --mode the train section picks the regime
+    fixed = {key: v for key, v in (("scale", args.s_fixed),
+                                   ("sigma", args.sigma),
+                                   ("anneal_epochs", args.anneal))
+             if v is not None}
+    if fixed and args.mode in ("gated", "baseline-random"):
+        raise ConfigError(f"--s-fixed/--sigma/--anneal need --mode fixed or "
+                          f"no --mode, not --mode {args.mode}")
     if args.mode == "gated":
         train_obj["baseline_mode"] = "none"
         train_obj["scale_fixed"] = None
     elif args.mode == "fixed":
         train_obj["baseline_mode"] = "none"
         train_obj["scale_range"] = None
-        fx = train_obj.get("scale_fixed") or {}
-        if args.s_fixed is not None:
-            fx["scale"] = args.s_fixed
-        if args.sigma is not None:
-            fx["sigma"] = args.sigma
-        if args.anneal is not None:
-            fx["anneal_epochs"] = args.anneal
-        if "scale" not in fx:
-            raise ConfigError("fixed mode needs --s-fixed or a "
-                              "train.scale_fixed.scale entry")
-        train_obj["scale_fixed"] = fx
     elif args.mode == "baseline-random":
         train_obj["baseline_mode"] = "random_drop"
         train_obj["scale_fixed"] = None
+    if fixed or args.mode == "fixed":  # scale_fixed wins over scale_range
+        fx = {**(train_obj.get("scale_fixed") or {}), **fixed}
+        if "scale" not in fx:
+            raise ConfigError("fixed-scale training needs --s-fixed or a "
+                              "train.scale_fixed.scale entry")
+        train_obj["scale_fixed"] = fx
     if args.p is not None:
         train_obj["p"] = args.p
     if args.beta is not None:
@@ -345,11 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar=("MIN", "MAX"),
                          help="uniform scale-sampling range")
     p_train.add_argument("--s-fixed", type=float,
-                         help="fixed-mode target scale")
+                         help="fixed-scale target scale")
     p_train.add_argument("--sigma", type=float,
-                         help="fixed-mode Gaussian scale noise")
+                         help="fixed-scale Gaussian scale noise")
     p_train.add_argument("--anneal", type=int,
-                         help="fixed-mode annealing epochs")
+                         help="fixed-scale annealing epochs")
     p_train.add_argument("--epochs", type=int)
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--init-from", help="checkpoint to start from")
@@ -397,7 +399,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DatasetFormatError, CheckpointError, FileNotFoundError) as exc:
+    except (DatasetFormatError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DivergenceError, NonFiniteError) as exc:

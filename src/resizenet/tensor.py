@@ -337,9 +337,8 @@ def sum_all(x: Tensor) -> Tensor:
 # -- convolution ------------------------------------------------------------
 
 # Columns are gathered from a channels-last copy of the input and ordered
-# (i, j, c): every window row is then k runs of k*C contiguous values, and
-# the k^2 adds of _col2im touch contiguous C-long runs.  The layout stays
-# inside these helpers; conv2d takes and returns [B,C,H,W].
+# (i, j, c): every window row is then k runs of k*C contiguous values.  The
+# layout stays inside these helpers; conv2d takes and returns [B,C,H,W].
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     """[B,C,H,W] -> [B*Ho*Wo, k*k*C] window columns ordered (i, j, c)."""
@@ -355,32 +354,25 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, k * k * c)
 
 
-def _col2im(cols: np.ndarray, x_shape: tuple, k: int, stride: int,
-            pad: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add columns back to [B,C,H,W]."""
-    b, c, h, w = x_shape
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
-    cols = cols.reshape(b, ho, wo, k, k, c)
-    img = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
-    for i in range(k):
-        i_max = i + stride * ho
-        for j in range(k):
-            j_max = j + stride * wo
-            img[:, i:i_max:stride, j:j_max:stride] += cols[:, :, :, i, j]
-    return np.ascontiguousarray(
-        img[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2))
-
-
 def _weight_matrix(w: np.ndarray) -> np.ndarray:
     """[Cout,C,k,k] weights -> [k*k*C, Cout], rows in the column order."""
     return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
 
 
+def _conv(x: np.ndarray, w: np.ndarray, stride: int,
+          pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array-level conv: (window columns, [B,Cout,Ho,Wo] output)."""
+    k = w.shape[2]
+    cols = _im2col(x, k, stride, pad)                # [B*Ho*Wo, k*k*C]
+    ho, wo = ((n + 2 * pad - k) // stride + 1 for n in x.shape[2:])
+    out = (cols @ _weight_matrix(w)).reshape(x.shape[0], ho, wo, w.shape[0])
+    return cols, np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """2-d cross-correlation of [B,C,H,W] with [Cout,C,k,k] weights.
 
-    Square odd kernels only; output spatial size is
+    Square odd kernels and ``0 <= pad < k`` only; output spatial size is
     ``(H + 2*pad - k) // stride + 1``.  Differentiable in both arguments.
     """
     _require(x.data.ndim == 4,
@@ -393,32 +385,37 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     _require(kh % 2 == 1, f"conv2d: kernel size must be odd, got {kh}")
     _require(cin == c,
              f"conv2d: weight axis 1 is {cin} but input axis 1 is {c}")
+    # a pad of k or more only adds windows of pure padding
+    _require(0 <= pad < kh, f"conv2d: pad {pad} outside [0, {kh - 1}]")
     _require(h + 2 * pad >= kh and width + 2 * pad >= kw,
              f"conv2d: padded input {h + 2 * pad}x{width + 2 * pad} smaller "
              f"than kernel {kh}")
     k = kh
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (width + 2 * pad - k) // stride + 1
-
-    cols = _im2col(x.data, k, stride, pad)           # [B*Ho*Wo, k*k*C]
-    out = (cols @ _weight_matrix(w.data)).reshape(b, ho, wo, cout) \
-        .transpose(0, 3, 1, 2)
+    cols, out = _conv(x.data, w.data, stride, pad)
 
     # requires_grad is read at recording time; phase-frozen parameters and
     # raw input batches skip their (expensive) half of the backward work
     need_gx, need_gw = x.requires_grad, w.requires_grad
 
     def rule(g):
-        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
-        gw = (cols.T @ gmat).reshape(k, k, cin, cout).transpose(3, 2, 0, 1) \
-            if need_gw else None
-        # the weight matrix is rebuilt here rather than kept alive by the
-        # closure: the optimizer steps only after backward
-        gx = _col2im(gmat @ _weight_matrix(w.data).T, x.shape, k, stride,
-                     pad) if need_gx else None
+        gw = gx = None
+        if need_gw:
+            gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)) \
+                .reshape(-1, cout)
+            gw = (cols.T @ gmat).reshape(k, k, cin, cout) \
+                .transpose(3, 2, 0, 1)
+        if need_gx:
+            # a stride-1 conv of g spread onto the padded input's window
+            # starts, with the flipped, transposed kernel (w is read here,
+            # not kept by the closure: the optimizer steps after backward)
+            gd = np.zeros((b, cout, h + 2 * pad - k + 1,
+                           width + 2 * pad - k + 1), dtype=g.dtype)
+            gd[:, :, ::stride, ::stride] = g
+            _, gx = _conv(gd, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                          1, k - 1 - pad)
         return gx, gw
 
-    return _from_op(np.ascontiguousarray(out), (x, w), rule)
+    return _from_op(out, (x, w), rule)
 
 
 # -- batch norm -------------------------------------------------------------

@@ -84,8 +84,7 @@ class TrainConfig:
             lo, hi = self.scale_range
             if not 0.0 <= lo <= hi <= 1.0:
                 raise ValueError("scale_range must satisfy 0 <= lo <= hi <= 1")
-        if self.scale_range is None and self.scale_fixed is None \
-                and self.baseline_mode == "none":
+        if self.scale_range is None and self.scale_fixed is None:
             raise ValueError("need a scale_range or a scale_fixed setting")
         if not 0 <= self.epochs_gate_only <= self.epochs_total:
             raise ValueError("epochs_gate_only must not exceed epochs_total")

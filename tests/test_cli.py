@@ -187,6 +187,38 @@ class TestTrainCommand:
         rows = (tmp_path / "run" / "epochs.csv").read_text().splitlines()
         assert all(row.endswith(",0.5") for row in rows[1:])
 
+    def test_fixed_scale_flags_apply_without_mode_flag(self, run_config,
+                                                       tmp_path):
+        assert main(["train", "--config", str(run_config), "--s-fixed",
+                     "0.6", "--sigma", "0", "--anneal", "0"]) == EXIT_OK
+        rows = (tmp_path / "run" / "epochs.csv").read_text().splitlines()
+        assert all(row.endswith(",0.6") for row in rows[1:])
+
+    @pytest.mark.parametrize("mode", ["gated", "baseline-random"])
+    def test_fixed_scale_flags_rejected_with_other_modes(self, run_config,
+                                                         mode, capsys):
+        code = main(["train", "--config", str(run_config), "--mode", mode,
+                     "--s-fixed", "0.6"])
+        assert code == EXIT_USAGE
+        assert "--s-fixed" in capsys.readouterr().err
+
+    def test_random_drop_without_scale_range_is_usage_error(self, run_config,
+                                                            capsys):
+        path = self._config_with_train(run_config,
+                                       baseline_mode="random_drop",
+                                       scale_range=None)
+        assert main(["train", "--config", str(path)]) == EXIT_USAGE
+        assert "scale_range" in capsys.readouterr().err
+
+    def test_directory_as_dataset_path_is_data_error(self, run_config,
+                                                     tmp_path, capsys):
+        cfg = json.loads(run_config.read_text())
+        cfg["dataset"] = {"kind": "cifar10", "train_path": str(tmp_path),
+                          "test_path": str(tmp_path)}
+        run_config.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(run_config)]) == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
     def test_init_from_mismatched_checkpoint_is_data_error(
             self, run_config, tmp_path):
         other = GatedResNet(ModelSpec(stage_blocks=(3,), channels=(8,),
@@ -250,6 +282,14 @@ class TestEvalCommand:
                      "--dataset", dataset_spec, "--grid", "0.5",
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_DATA
+
+    def test_directory_as_checkpoint_is_data_error(self, dataset_spec,
+                                                   tmp_path, capsys):
+        code = main(["eval", "--checkpoint", str(tmp_path),
+                     "--dataset", dataset_spec, "--grid", "0.5",
+                     "--out", str(tmp_path / "x")])
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("old,new", [
         (b'{"crc32', b'\xff"crc32'),            # undecodable header byte

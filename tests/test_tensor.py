@@ -8,7 +8,6 @@ from resizenet.tensor import (
     NonFiniteError,
     ShapeError,
     Tensor,
-    _col2im,
     _im2col,
     add,
     add_n,
@@ -145,19 +144,29 @@ class TestConv2d:
                 np.testing.assert_array_equal(cols[:, oh, ow],
                                               window.transpose(0, 2, 3, 1))
 
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("pad", [0, 1])
+    @pytest.mark.parametrize("k,pad", [(1, 0), (3, 0), (3, 1), (3, 2)])
     @pytest.mark.parametrize("stride", [1, 2])
-    def test_col2im_is_adjoint_of_im2col(self, k, pad, stride):
-        # <im2col(x), y> == <x, col2im(y)> pins the column order of both
+    def test_gradients_are_adjoint_of_forward(self, k, pad, stride):
+        # conv is bilinear: <conv(x, w), Y> == <x, dx> == <w, dw>.  The
+        # 5x6 input gives (H + 2*pad - k) % stride != 0 in some cases
         rng = np.random.default_rng(41)
-        x = rng.standard_normal((2, 3, 5, 6))
-        cols = _im2col(x, k, stride, pad)
-        y = rng.standard_normal(cols.shape)
-        back = _col2im(y, x.shape, k, stride, pad)
-        assert back.shape == x.shape
-        np.testing.assert_allclose(np.sum(cols * y), np.sum(x * back),
+        x = Tensor(rng.standard_normal((2, 3, 5, 6)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, k, k)), requires_grad=True)
+        ref = naive_conv2d(x.data, w.data, stride=stride, pad=pad)
+        y = rng.standard_normal(ref.shape)
+        backward(sum_all(mul(conv2d(x, w, stride=stride, pad=pad),
+                             Tensor(y))))
+        inner = np.sum(ref * y)
+        np.testing.assert_allclose(np.sum(x.data * x.grad), inner,
                                    rtol=1e-12)
+        np.testing.assert_allclose(np.sum(w.data * w.grad), inner,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("k,pad", [(1, 1), (3, 3), (3, -1)])
+    def test_pad_outside_kernel_rejected(self, k, pad):
+        with pytest.raises(ShapeError, match="outside"):
+            conv2d(Tensor(np.zeros((1, 1, 4, 4))),
+                   Tensor(np.zeros((1, 1, k, k))), pad=pad)
 
     def test_channel_mismatch_names_axes(self):
         x = Tensor(np.zeros((1, 4, 8, 8)))

@@ -157,6 +157,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(baseline_mode="bogus")
 
+    def test_random_drop_needs_a_scale_source(self):
+        # the random-drop baseline draws its keep rate from the scale too
+        with pytest.raises(ValueError, match="scale_range"):
+            TrainConfig(baseline_mode="random_drop", scale_range=None)
+
 
 class TestGateOnlyPhase:
     def test_backbone_frozen_bitwise(self):
