@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
@@ -54,15 +55,15 @@ class ConfigError(ValueError):
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, not {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
 def parse_model_spec(obj: dict) -> ModelSpec:
-    _check_keys(obj, {"stage_blocks", "channels", "num_classes",
-                      "in_channels", "reduction", "use_feature_input"},
-                "model")
+    _check_keys(obj, {f.name for f in fields(ModelSpec)}, "model")
     try:
         return ModelSpec.from_dict(obj)
     except (KeyError, ValueError, TypeError) as exc:
@@ -70,34 +71,33 @@ def parse_model_spec(obj: dict) -> ModelSpec:
 
 
 def parse_train_config(obj: dict) -> TrainConfig:
-    _check_keys(obj, {"beta", "p", "scale_range", "scale_fixed",
-                      "epochs_total", "epochs_gate_only", "optimizer",
-                      "gate_optimizer", "lr_schedule", "batch_size", "seed",
-                      "baseline_mode", "gate_lr_scale"}, "train")
+    _check_keys(obj, {f.name for f in fields(TrainConfig)}, "train")
     obj = dict(obj)
-    for key in ("optimizer", "gate_optimizer"):
-        if obj.get(key) is not None:
-            opt = obj[key]
-            _check_keys(opt, {"kind", "momentum", "weight_decay", "beta1",
-                              "beta2", "eps"}, f"train.{key}")
-            obj[key] = OptimizerSpec(**opt)
-    if obj.get("scale_fixed") is not None:
-        fx = obj["scale_fixed"]
-        _check_keys(fx, {"scale", "sigma", "anneal_epochs"},
-                    "train.scale_fixed")
-        obj["scale_fixed"] = FixedScaleConfig(**fx)
-    if obj.get("scale_range") is not None:
-        obj["scale_range"] = tuple(obj["scale_range"])
-    if "lr_schedule" in obj:
-        obj["lr_schedule"] = tuple((int(e), float(lr))
-                                   for e, lr in obj["lr_schedule"])
     try:
+        for key in ("optimizer", "gate_optimizer"):
+            if obj.get(key) is not None:
+                opt = obj[key]
+                _check_keys(opt, {f.name for f in fields(OptimizerSpec)},
+                            f"train.{key}")
+                obj[key] = OptimizerSpec(**opt)
+        if obj.get("scale_fixed") is not None:
+            fx = obj["scale_fixed"]
+            _check_keys(fx, {f.name for f in fields(FixedScaleConfig)},
+                        "train.scale_fixed")
+            obj["scale_fixed"] = FixedScaleConfig(**fx)
+        if obj.get("scale_range") is not None:
+            obj["scale_range"] = tuple(obj["scale_range"])
+        if "lr_schedule" in obj:
+            obj["lr_schedule"] = tuple((int(e), float(lr))
+                                       for e, lr in obj["lr_schedule"])
         return TrainConfig(**obj)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad train config: {exc}") from exc
 
 
 def load_dataset_spec(obj: dict, split: str = "train") -> Dataset:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"dataset spec must be a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "synthetic":
         _check_keys(obj, {"kind", "m", "val_m", "classes", "image_size",
@@ -106,6 +106,9 @@ def load_dataset_spec(obj: dict, split: str = "train") -> Dataset:
         seed = int(obj.get("seed", 0))
         m = int(obj.get("val_m", max(1, obj.get("m", 512) // 2))) \
             if split == "val" else int(obj.get("m", 512))
+        if m < 1:
+            raise ConfigError(f"synthetic {split} split needs at least one "
+                              f"sample, got {m}")
         return make_synthetic(
             m, int(obj.get("classes", 4)), int(obj.get("image_size", 8)),
             seed=seed + (1 if split == "val" else 0),
@@ -142,6 +145,8 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     _check_keys(obj, {"model", "train", "dataset", "out_dir", "seed",
                       "init_checkpoint"}, "run config")
+    if not isinstance(obj.get("train", {}), dict):
+        raise ConfigError(f"train section of {path} must be a JSON object")
     return obj
 
 
@@ -163,8 +168,7 @@ def _json_or_file(value: str) -> dict:
 def cmd_train(args) -> int:
     config = load_run_config(args.config) if args.config else {}
     train_obj = dict(config.get("train", {}))
-    dataset_obj = dict(config.get("dataset",
-                                  {"kind": "synthetic", "m": 1024}))
+    dataset_obj = config.get("dataset", {"kind": "synthetic", "m": 1024})
     out_dir = args.out or config.get("out_dir")
     if not out_dir:
         raise ConfigError("no output directory (use --out or out_dir)")
@@ -192,6 +196,9 @@ def cmd_train(args) -> int:
             raise ConfigError("fixed-scale training needs --s-fixed or a "
                               "train.scale_fixed.scale entry")
         train_obj["scale_fixed"] = fx
+    if args.range is not None and train_obj.get("scale_fixed") is not None:
+        raise ConfigError("--range has no effect on a fixed-scale run; "
+                          "drop it or use --mode gated")
     if args.p is not None:
         train_obj["p"] = args.p
     if args.beta is not None:
@@ -317,8 +324,12 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_resolve(args) -> int:
-    table = read_calibration_json(args.calibration)
-    scale = budget_to_scale(table, args.budget)
+    try:
+        scale = budget_to_scale(read_calibration_json(args.calibration),
+                                args.budget)
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        raise DatasetFormatError(
+            f"{args.calibration}: not a calibration table: {exc!r}") from exc
     print(repr(scale))
     return EXIT_OK
 
@@ -396,16 +407,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DatasetFormatError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (DivergenceError, NonFiniteError) as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

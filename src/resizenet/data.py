@@ -13,13 +13,14 @@ the header.
 from __future__ import annotations
 
 import json
-import math
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
+from .metrics import FlopsModel
 from .model import GatedResNet, ModelSpec
 
 CHECKPOINT_VERSION = 1
@@ -30,7 +31,7 @@ CIFAR10_STDS = (0.2470, 0.2435, 0.2616)
 
 
 class DatasetFormatError(ValueError):
-    """Input bytes do not match the declared dataset format."""
+    """A data file's contents do not match its declared format."""
 
 
 class CheckpointError(ValueError):
@@ -159,6 +160,19 @@ def augment_batch(images: np.ndarray, rng: np.random.Generator, *,
 # -- checkpoints --------------------------------------------------------------
 
 
+def _manifest(model: GatedResNet) -> list[tuple[dict, np.ndarray]]:
+    """``(entry, array)`` per parameter, then per batch-norm buffer, in
+    payload order; an entry holds name, shape and float32 byte span."""
+    named = [(f"param/{name}", t.data) for name, t in model.named_parameters()]
+    named += [(f"buffer/{name}", arr) for name, arr in model.named_buffers()]
+    table, offset = [], 0
+    for name, arr in named:
+        table.append(({"name": name, "shape": list(arr.shape),
+                       "offset": offset, "nbytes": 4 * arr.size}, arr))
+        offset += 4 * arr.size
+    return table
+
+
 def save_checkpoint(path, model: GatedResNet,
                     train_state: dict | None = None) -> None:
     """Serialize parameters and batch-norm state as float32.
@@ -166,25 +180,14 @@ def save_checkpoint(path, model: GatedResNet,
     ``train_state`` holds JSON scalars such as the epoch counter; optimizer
     state is not saved, so training from a checkpoint restarts it.
     """
-    tensors: list[tuple[str, np.ndarray]] = []
-    for name, t in model.named_parameters():
-        tensors.append((f"param/{name}", t.data))
-    for name, arr in model.named_buffers():
-        tensors.append((f"buffer/{name}", arr))
-
-    manifest, chunks, offset = [], [], 0
-    for name, arr in tensors:
-        payload = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        manifest.append({"name": name, "shape": list(arr.shape),
-                         "offset": offset, "nbytes": len(payload)})
-        chunks.append(payload)
-        offset += len(payload)
-    payload = b"".join(chunks)
+    table = _manifest(model)
+    payload = b"".join(np.ascontiguousarray(arr, dtype="<f4").tobytes()
+                       for _, arr in table)
     crc = zlib.crc32(payload)
 
     header = {"format_version": CHECKPOINT_VERSION,
               "model": model.spec.to_dict(),
-              "tensors": manifest,
+              "tensors": [entry for entry, _ in table],
               "payload_nbytes": len(payload),
               "crc32": crc,
               "train_state": train_state or {}}
@@ -195,11 +198,6 @@ def save_checkpoint(path, model: GatedResNet,
         fh.write(header_bytes)
         fh.write(payload)
         fh.write(struct.pack("<I", crc))
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value >= 0
 
 
 def _require_keys(obj, keys: tuple[str, ...], what: str) -> None:
@@ -214,8 +212,8 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
     """Rebuild the model recorded in a checkpoint.
 
     Raises a distinct error per failure class: unknown format version,
-    manifest/payload disagreement, payload corruption, or an architecture
-    that does not match ``expected_spec``.
+    a tensor table that is not the model's, payload corruption, or an
+    architecture that does not match ``expected_spec``.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -224,9 +222,10 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
     (header_len,) = struct.unpack("<Q", blob[:8])
     if 8 + header_len + 4 > len(blob):
         raise CheckpointError(f"{path}: header length field exceeds file")
+    # ValueError covers bad UTF-8, bad JSON and over-long integer literals
     try:
         header = json.loads(blob[8:8 + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     _require_keys(header, ("payload_nbytes", "crc32", "model", "tensors"),
                   f"{path}: header")
@@ -266,40 +265,30 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
     train_state = header.get("train_state", {})
     if not isinstance(train_state, dict):
         raise CheckpointError(f"{path}: train_state is not a JSON object")
-    arrays: dict[str, np.ndarray] = {}
-    if not isinstance(header["tensors"], list):
-        raise CheckpointError(f"{path}: tensor manifest is not a list")
-    for entry in header["tensors"]:
-        _require_keys(entry, ("name", "shape", "offset", "nbytes"),
-                      f"{path}: tensor entry")
-        name, shape = entry["name"], entry["shape"]
-        start, nbytes = entry["offset"], entry["nbytes"]
-        if not (isinstance(name, str) and _is_count(start)
-                and _is_count(nbytes)):
-            raise CheckpointError(
-                f"{path}: tensor entry {name!r} needs a string name and "
-                f"non-negative integer offset and nbytes")
-        if start + nbytes > len(payload):
-            raise CheckpointError(
-                f"{path}: tensor {name} overruns the payload")
-        if not (isinstance(shape, list) and all(map(_is_count, shape))) \
-                or 4 * math.prod(shape) != nbytes:
-            raise CheckpointError(
-                f"{path}: tensor {name} does not fit shape {shape}")
-        arr = np.frombuffer(payload[start:start + nbytes], dtype="<f4")
-        arrays[name] = arr.reshape(shape).astype(np.float64)
+    # at a 1x1 input each layer does one MAC per weight; the block count
+    # goes first because counting MACs walks every block
+    if spec.num_blocks > len(payload) or \
+            4 * FlopsModel.for_model(spec, (1, 1)).total_macs > len(payload):
+        raise CheckpointError(
+            f"{path}: model {spec} has more weights than the payload holds")
 
     model = GatedResNet(spec, np.random.default_rng(0))
-    targets = [(f"param/{name}", t.data)
-               for name, t in model.named_parameters()]
-    targets += [(f"buffer/{name}", arr) for name, arr in model.named_buffers()]
-    for key, target in targets:
-        if key not in arrays:
-            raise CheckpointError(f"{path}: missing tensor {key}")
-        if arrays[key].shape != target.shape:
-            raise ArchitectureMismatchError(
-                f"{path}: tensor {key} has shape {arrays[key].shape}, "
-                f"model expects {target.shape}")
-        target[...] = arrays[key]
+    table = _manifest(model)
+    expected = [entry for entry, _ in table]
+    if header["tensors"] != expected:
+        theirs = header["tensors"] if isinstance(header["tensors"], list) \
+            else [header["tensors"]]
+        i, (got, want) = next((i, pair) for i, pair in enumerate(
+            zip_longest(theirs, expected)) if pair[0] != pair[1])
+        raise CheckpointError(
+            f"{path}: tensor table entry {i} is {got!r} in the header but "
+            f"{want!r} in the model")
+    if len(payload) != 4 * sum(arr.size for _, arr in table):
+        raise CheckpointError(f"{path}: payload size does not match the "
+                              f"tensor table")
+    values = np.frombuffer(payload, dtype="<f4")
+    for entry, target in table:
+        start = entry["offset"] // 4
+        target[...] = values[start:start + target.size].reshape(target.shape)
 
     return model, dict(train_state)

@@ -88,6 +88,8 @@ class TrainConfig:
             raise ValueError("need a scale_range or a scale_fixed setting")
         if not 0 <= self.epochs_gate_only <= self.epochs_total:
             raise ValueError("epochs_gate_only must not exceed epochs_total")
+        if not self.lr_schedule:
+            raise ValueError("lr_schedule needs an (epoch, lr) entry")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.baseline_mode not in ("none", "random_drop"):

@@ -2,6 +2,7 @@
 codes, and byte-level determinism of emitted files."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -202,6 +203,29 @@ class TestTrainCommand:
         assert code == EXIT_USAGE
         assert "--s-fixed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "fixed", "--s-fixed", "0.6"],
+        ["--s-fixed", "0.6"],
+    ], ids=["mode_fixed", "s_fixed_only"])
+    def test_range_rejected_on_fixed_scale_runs(self, run_config, flags,
+                                                capsys):
+        code = main(["train", "--config", str(run_config), *flags,
+                     "--sigma", "0", "--anneal", "0", "--range", "0.2", "0.4"])
+        assert code == EXIT_USAGE
+        assert "--range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,value", [
+        ("train", [1, 2]),
+        ("train", {"lr_schedule": []}),
+        ("dataset", {**SMALL_DATASET, "m": 0}),
+    ], ids=["train_list", "lr_schedule_empty", "synthetic_m_zero"])
+    def test_malformed_config_shape_is_usage_error(self, run_config, section,
+                                                   value, capsys):
+        cfg = json.loads(run_config.read_text())
+        run_config.write_text(json.dumps({**cfg, section: value}))
+        assert main(["train", "--config", str(run_config)]) == EXIT_USAGE
+        assert "error: " in capsys.readouterr().err
+
     def test_random_drop_without_scale_range_is_usage_error(self, run_config,
                                                             capsys):
         path = self._config_with_train(run_config,
@@ -258,6 +282,13 @@ class TestEvalCommand:
             [(r["scale"], r["flops_mean"]) for r in evals]
         assert all(r["ms_per_sample"] > 0 for r in rows)
 
+    def test_dataset_spec_not_an_object_is_usage_error(self, checkpoint,
+                                                       tmp_path, capsys):
+        code = main(["eval", "--checkpoint", checkpoint, "--dataset", "[1]",
+                     "--grid", "0.5", "--out", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        assert "JSON object" in capsys.readouterr().err
+
     def test_eval_grid_must_ascend(self, checkpoint, dataset_spec, tmp_path):
         code = main(["eval", "--checkpoint", checkpoint,
                      "--dataset", dataset_spec,
@@ -302,7 +333,7 @@ class TestEvalCommand:
             "offset_string", "stage_blocks_float", "channels_zero"])
     def test_malformed_checkpoint_header_is_data_error(
             self, checkpoint, dataset_spec, tmp_path, old, new):
-        blob = open(checkpoint, "rb").read()
+        blob = pathlib.Path(checkpoint).read_bytes()
         assert old in blob and len(old) == len(new)
         with open(checkpoint, "wb") as fh:
             fh.write(blob.replace(old, new))
@@ -376,6 +407,24 @@ class TestCalibrateResolve:
         main(["resolve", "--calibration", str(cal_path),
               "--budget", "150"])
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.6)
+
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"tables": []}),
+        json.dumps({"entries": [{"scale": 0.2}]}),
+        "{not json",
+        json.dumps({"entries": [{"scale": 1.0, "flops_mean": 2.0},
+                                {"scale": 0.2, "flops_mean": 1.0}]}),
+    ], ids=["no_entries", "entry_without_flops_mean", "not_json",
+            "unsorted"])
+    def test_malformed_calibration_is_data_error(self, tmp_path, text,
+                                                 capsys):
+        cal_path = tmp_path / "cal.json"
+        cal_path.write_text(text)
+        code = main(["resolve", "--calibration", str(cal_path),
+                     "--budget", "150"])
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
 
 
 class TestArgumentErrors:

@@ -1,11 +1,13 @@
 """Dataset ingestion and checkpoint persistence tests."""
 
 import json
+import pathlib
 import struct
 
 import numpy as np
 import pytest
 
+from resizenet.cli import EXIT_DATA, main
 from resizenet.data import (
     ArchitectureMismatchError,
     CheckpointError,
@@ -145,6 +147,20 @@ def _edit_header(path, edit):
     path.write_bytes(struct.pack("<Q", len(raw)) + raw + blob[8 + n:])
 
 
+def _swap_offsets(header, a="param/stem.bn.gamma", b="param/stem.bn.beta"):
+    """Swap the offsets of two same-size entries, so each reads the other's
+    bytes."""
+    ea, eb = (next(e for e in header["tensors"] if e["name"] == n)
+              for n in (a, b))
+    ea["offset"], eb["offset"] = eb["offset"], ea["offset"]
+
+
+# written by the format-1 saver from GatedResNet(ModelSpec((1, 1), (4, 6),
+# num_classes=3), default_rng(0)) with its batch-norm running statistics
+# drawn from U(0.5, 1.5) by default_rng(1), and train_state {"epoch": 1}
+FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "v1_small.ckpt"
+
+
 class TestCheckpoint:
     SPEC = ModelSpec(stage_blocks=(2, 2), channels=(8, 16), num_classes=4)
 
@@ -241,24 +257,26 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, self._model())
         _edit_header(path, lambda h: h["tensors"][0].pop(key))
-        with pytest.raises(CheckpointError, match=f"lacks {key}"):
+        with pytest.raises(CheckpointError, match="tensor table entry 0"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit,match", [
         (lambda h: h["model"].pop("stage_blocks"), "model description"),
-        (lambda h: h.update(tensors=5), "not a list"),
-        (lambda h: h["tensors"][0].update(shape=[2, 2]), "does not fit"),
+        (lambda h: h.update(tensors=5), "tensor table entry 0"),
+        (lambda h: h["tensors"][0].update(shape=[2, 2]),
+         "tensor table entry 0"),
         (lambda h: h.update(train_state=5), "train_state"),
-        (lambda h: h["tensors"][0].update(offset="0"), "offset"),
-        (lambda h: h["tensors"][0].update(nbytes=-4), "nbytes"),
-        (lambda h: h["tensors"][0].update(name=["x"]), "name"),
+        (lambda h: h["tensors"][0].update(offset="0"),
+         "tensor table entry 0"),
+        (lambda h: h["tensors"][0].update(nbytes=-4), "tensor table entry 0"),
+        (lambda h: h["tensors"][0].update(name=["x"]), "tensor table entry 0"),
         (lambda h: h["model"].update(stage_blocks=[1.5, 1]),
          "stage_blocks"),
         (lambda h: h["model"].update(channels=[0, 8]), "channels"),
         (lambda h: h["model"].update(reduction=0), "reduction"),
         (lambda h: next(e for e in h["tensors"]
                         if e["name"] == "buffer/stem.bn.mean"
-                        ).update(shape=[2, 4]), "model expects"),
+                        ).update(shape=[2, 4]), "tensor table entry"),
     ], ids=["model_key", "manifest_type", "shape", "train_state",
             "offset_string", "nbytes_negative", "name_list",
             "stage_blocks_float", "channels_zero", "reduction_zero",
@@ -269,6 +287,67 @@ class TestCheckpoint:
         save_checkpoint(path, self._model())
         _edit_header(path, edit)
         with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["tensors"][1].update(offset=h["tensors"][1]["offset"] + 4),
+        _swap_offsets,
+        lambda h: h["tensors"].append({"name": "param/extra", "shape": [1],
+                                       "offset": 0, "nbytes": 4}),
+    ], ids=["offset_plus_4", "swapped_offsets", "extra_entry"])
+    def test_table_that_misreads_the_payload_is_refused(self, tmp_path,
+                                                        edit):
+        # each edit keeps every entry in range, so only a comparison with
+        # the model's own table can see it
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._model())
+        _edit_header(path, edit)
+        with pytest.raises(CheckpointError, match="tensor table"):
+            load_checkpoint(path)
+        dataset = json.dumps({"kind": "synthetic", "m": 8, "classes": 4})
+        assert main(["eval", "--checkpoint", str(path), "--dataset", dataset,
+                     "--grid", "0.5", "--out", str(tmp_path / "e")]) \
+            == EXIT_DATA
+
+    @pytest.mark.parametrize("model", [
+        {"channels": [400, 16]},
+        {"stage_blocks": [10 ** 12, 2]},
+    ], ids=["channels_400", "stage_blocks_1e12"])
+    def test_spec_too_large_for_payload_is_refused_before_building(
+            self, tmp_path, monkeypatch, model):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._model())
+        _edit_header(path, lambda h: h["model"].update(model))
+
+        def refuse(*args):
+            raise AssertionError("model built from an oversized spec")
+        monkeypatch.setattr("resizenet.data.GatedResNet", refuse)
+        with pytest.raises(CheckpointError, match="more weights than"):
+            load_checkpoint(path)
+
+    def test_format_1_fixture_loads_and_saves_byte_identical(self, tmp_path):
+        blob = FIXTURE.read_bytes()
+        (n,) = struct.unpack("<Q", blob[:8])
+        values = np.frombuffer(blob[8 + n:-4], dtype="<f4")
+        model, state = load_checkpoint(FIXTURE)
+        assert state == {"epoch": 1}
+        arrays = [t.data for _, t in model.named_parameters()]
+        arrays += [arr for _, arr in model.named_buffers()]
+        np.testing.assert_array_equal(
+            np.concatenate([a.ravel() for a in arrays]), values)
+        save_checkpoint(tmp_path / "again.ckpt", model, train_state=state)
+        assert (tmp_path / "again.ckpt").read_bytes() == blob
+
+    def test_oversized_integer_in_header_is_checkpoint_error(self,
+                                                             tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, self._model())
+        blob = path.read_bytes()
+        (n,) = struct.unpack("<Q", blob[:8])
+        raw = blob[8:8 + n].replace(b'"num_classes": 4',
+                                    b'"num_classes": ' + b"9" * 5000)
+        path.write_bytes(struct.pack("<Q", len(raw)) + raw + blob[8 + n:])
+        with pytest.raises(CheckpointError, match="unreadable header"):
             load_checkpoint(path)
 
     def test_deeply_nested_header_is_checkpoint_error(self, tmp_path):
