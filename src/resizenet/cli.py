@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -251,6 +252,10 @@ def _sweep(args, gate_override: GateMode | None = None):
     """
     model, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset_spec(_json_or_file(args.dataset), args.split)
+    if dataset.num_classes > model.spec.num_classes:
+        raise ConfigError(f"dataset has {dataset.num_classes} classes but the "
+                          f"checkpoint's model outputs "
+                          f"{model.spec.num_classes}")
     grid = _parse_grid(args.grid)
     fm = FlopsModel.for_model(model.spec, dataset.images.shape[2:])
     # one untimed batch (evaluate's default size) takes the one-off start-up
@@ -324,6 +329,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_resolve(args) -> int:
+    if math.isnan(args.budget):
+        raise ConfigError("--budget must be a number, not nan")
     try:
         scale = budget_to_scale(read_calibration_json(args.calibration),
                                 args.budget)

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .tensor import (
+    BN_EPS,
     Tensor,
     add,
     add_rows,
@@ -27,6 +28,7 @@ from .tensor import (
     concat_cols,
     conv2d,
     global_avg_pool,
+    grad_enabled,
     relu,
     reshape,
     scale_features,
@@ -251,25 +253,32 @@ def gate_forward(x: Tensor, scale: float, params: GateParams, mode: GateMode,
     return gate_activation(z, mode)
 
 
+def _conv_bn(x: Tensor, w: Tensor, bn: BnParams, stride: int, pad: int,
+             bn_training: bool) -> Tensor:
+    """``batch_norm(conv2d(x, w))``.  With eval batch norm and no graph
+    recorded, the norm is a per-channel affine map and runs as the conv's
+    folded weights and bias."""
+    if not bn_training and not grad_enabled():
+        s = bn.gamma.data / np.sqrt(bn.running_var + BN_EPS)
+        return conv2d(x, Tensor(w.data * s[:, None, None, None]),
+                      stride=stride, pad=pad,
+                      bias=Tensor(bn.beta.data - bn.running_mean * s))
+    return batch_norm(conv2d(x, w, stride=stride, pad=pad), bn.gamma, bn.beta,
+                      bn.running_mean, bn.running_var, bn_training)
+
+
 def _residual_branch(x: Tensor, block: BlockParams,
                      bn_training: bool) -> Tensor:
-    h = conv2d(x, block.conv1, stride=block.stride, pad=1)
-    h = relu(batch_norm(h, block.bn1.gamma, block.bn1.beta,
-                        block.bn1.running_mean, block.bn1.running_var,
-                        bn_training))
-    h = conv2d(h, block.conv2, stride=1, pad=1)
-    return batch_norm(h, block.bn2.gamma, block.bn2.beta,
-                      block.bn2.running_mean, block.bn2.running_var,
-                      bn_training)
+    h = relu(_conv_bn(x, block.conv1, block.bn1, block.stride, 1,
+                      bn_training))
+    return _conv_bn(h, block.conv2, block.bn2, 1, 1, bn_training)
 
 
 def _shortcut(x: Tensor, block: BlockParams, bn_training: bool) -> Tensor:
     if block.proj_conv is None:
         return x
-    h = conv2d(x, block.proj_conv, stride=block.stride, pad=0)
-    return batch_norm(h, block.proj_bn.gamma, block.proj_bn.beta,
-                      block.proj_bn.running_mean, block.proj_bn.running_var,
-                      bn_training)
+    return _conv_bn(x, block.proj_conv, block.proj_bn, block.stride, 0,
+                    bn_training)
 
 
 def gated_block_forward(x: Tensor, block: BlockParams, gate: Tensor,
@@ -373,10 +382,8 @@ class GatedResNet:
         return logits, GateRecord(gates)
 
     def _stem(self, x: Tensor, bn_training: bool) -> Tensor:
-        h = conv2d(x, self.stem_conv, stride=1, pad=1)
-        return relu(batch_norm(h, self.stem_bn.gamma, self.stem_bn.beta,
-                               self.stem_bn.running_mean,
-                               self.stem_bn.running_var, bn_training))
+        return relu(_conv_bn(x, self.stem_conv, self.stem_bn, 1, 1,
+                             bn_training))
 
     def _head(self, h: Tensor) -> Tensor:
         return affine(global_avg_pool(h), self.head_w, self.head_b)

@@ -77,6 +77,11 @@ class Tensor:
 _grad_enabled = True
 
 
+def grad_enabled() -> bool:
+    """Whether ops record a graph: false inside :func:`no_grad`."""
+    return _grad_enabled
+
+
 @contextmanager
 def no_grad() -> Iterator[None]:
     """Build no graph inside the block: op results are constants.
@@ -197,8 +202,8 @@ def mul_scalar(x: Tensor, c: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)
-    mask = x.data > 0.0
-    return _from_op(out, (x,), lambda g: (g * mask,))
+    # the mask is rebuilt from the (immutable) output when backward needs it
+    return _from_op(out, (x,), lambda g: (g * (out > 0.0),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -340,9 +345,21 @@ def sum_all(x: Tensor) -> Tensor:
 # (i, j, c): every window row is then k runs of k*C contiguous values.  The
 # layout stays inside these helpers; conv2d takes and returns [B,C,H,W].
 
+# Columns that no backward needs are built and consumed a block of samples
+# at a time, at most this many bytes, so they are still in cache when the
+# GEMM reads them: half of a common 2 MiB per-core L2, which leaves room for
+# the block's padded image and output.  Blocks follow from the shapes alone,
+# never the machine, so a given batch is always split the same way.
+_COLS_BLOCK_BYTES = 1 << 20
+
+
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
     """[B,C,H,W] -> [B*Ho*Wo, k*k*C] window columns ordered (i, j, c)."""
     b, c, h, w = x.shape
+    if k == 1 and pad == 0:
+        # a 1x1 window is one pixel: no padded image, one strided copy
+        return np.ascontiguousarray(
+            x[:, :, ::stride, ::stride].transpose(0, 2, 3, 1)).reshape(-1, c)
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
     img = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
@@ -359,21 +376,37 @@ def _weight_matrix(w: np.ndarray) -> np.ndarray:
     return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
 
 
-def _conv(x: np.ndarray, w: np.ndarray, stride: int,
-          pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array-level conv: (window columns, [B,Cout,Ho,Wo] output)."""
-    k = w.shape[2]
-    cols = _im2col(x, k, stride, pad)                # [B*Ho*Wo, k*k*C]
+def _conv(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
+          keep_cols: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """Array-level conv: (window columns, [B,Cout,Ho,Wo] output).
+
+    With ``keep_cols`` the whole batch's columns are built once and
+    returned; otherwise they are built per block of samples and dropped.
+    """
+    b, cout, k = x.shape[0], w.shape[0], w.shape[2]
     ho, wo = ((n + 2 * pad - k) // stride + 1 for n in x.shape[2:])
-    out = (cols @ _weight_matrix(w)).reshape(x.shape[0], ho, wo, w.shape[0])
+    wm = _weight_matrix(w)
+    if keep_cols:
+        cols = _im2col(x, k, stride, pad)            # [B*Ho*Wo, k*k*C]
+        out = cols @ wm
+    else:
+        cols, out = None, np.empty((b * ho * wo, cout))
+        step = max(1, _COLS_BLOCK_BYTES // (ho * wo * wm.shape[0]
+                                            * x.itemsize))
+        for i in range(0, b, step):
+            np.matmul(_im2col(x[i:i + step], k, stride, pad), wm,
+                      out=out[i * ho * wo:(i + step) * ho * wo])
+    out = out.reshape(b, ho, wo, cout)
     return cols, np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-d cross-correlation of [B,C,H,W] with [Cout,C,k,k] weights.
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
+           bias: Tensor | None = None) -> Tensor:
+    """2-d cross-correlation of [B,C,H,W] with [Cout,C,k,k] weights, plus
+    an optional [Cout] ``bias`` per output channel.
 
     Square odd kernels and ``0 <= pad < k`` only; output spatial size is
-    ``(H + 2*pad - k) // stride + 1``.  Differentiable in both arguments.
+    ``(H + 2*pad - k) // stride + 1``.  Differentiable in every argument.
     """
     _require(x.data.ndim == 4,
              f"conv2d: input must be 4-d [B,C,H,W], got {x.shape}")
@@ -390,12 +423,18 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     _require(h + 2 * pad >= kh and width + 2 * pad >= kw,
              f"conv2d: padded input {h + 2 * pad}x{width + 2 * pad} smaller "
              f"than kernel {kh}")
+    if bias is not None:
+        _require(bias.shape == (cout,),
+                 f"conv2d: bias must be [{cout}], got {bias.shape}")
     k = kh
-    cols, out = _conv(x.data, w.data, stride, pad)
-
     # requires_grad is read at recording time; phase-frozen parameters and
     # raw input batches skip their (expensive) half of the backward work
     need_gx, need_gw = x.requires_grad, w.requires_grad
+    # only the weight gradient reads the columns
+    cols, out = _conv(x.data, w.data, stride, pad,
+                      keep_cols=_grad_enabled and need_gw)
+    if bias is not None:
+        out += bias.data[:, None, None]
 
     def rule(g):
         gw = gx = None
@@ -412,18 +451,24 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
                            width + 2 * pad - k + 1), dtype=g.dtype)
             gd[:, :, ::stride, ::stride] = g
             _, gx = _conv(gd, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
-                          1, k - 1 - pad)
-        return gx, gw
+                          1, k - 1 - pad, keep_cols=False)
+        if bias is None:
+            return gx, gw
+        return gx, gw, g.sum(axis=(0, 2, 3))
 
-    return _from_op(out, (x, w), rule)
+    parents = (x, w) if bias is None else (x, w, bias)
+    return _from_op(out, parents, rule)
 
 
 # -- batch norm -------------------------------------------------------------
 
+BN_EPS = 1e-5  # added to the variance; the eval fold into a conv uses it too
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, momentum: float = 0.1,
-               eps: float = 1e-5) -> Tensor:
+               eps: float = BN_EPS) -> Tensor:
     """Per-channel batch normalization over [B,C,H,W].
 
     Training mode normalizes by batch statistics and updates the running

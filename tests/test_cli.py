@@ -308,6 +308,16 @@ class TestEvalCommand:
         assert rows["default"][0]["usage_mean"] != \
             rows["sigmoid"][0]["usage_mean"]
 
+    @pytest.mark.parametrize("command", ["eval", "usage-map", "calibrate"])
+    def test_more_dataset_classes_than_model_is_usage_error(
+            self, checkpoint, tmp_path, capsys, command):
+        dataset = json.dumps({**SMALL_DATASET, "classes": 9})
+        code = main([command, "--checkpoint", checkpoint, "--dataset",
+                     dataset, "--grid", "0.5", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "9 classes" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_checkpoint_is_data_error(self, dataset_spec, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),
                      "--dataset", dataset_spec, "--grid", "0.5",
@@ -408,6 +418,25 @@ class TestCalibrateResolve:
               "--budget", "150"])
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.6)
 
+
+    @pytest.mark.parametrize("budget,scale", [
+        ("nan", None), ("inf", 1.0), ("-inf", 0.2)])
+    def test_resolve_non_finite_budget(self, tmp_path, capsys, budget,
+                                       scale):
+        # infinite budgets clamp to the table's ends; NaN has no answer
+        cal_path = tmp_path / "cal.json"
+        cal_path.write_text(json.dumps(
+            {"entries": [{"scale": 0.2, "flops_mean": 100.0},
+                         {"scale": 1.0, "flops_mean": 200.0}]}))
+        code = main(["resolve", "--calibration", str(cal_path),
+                     f"--budget={budget}"])
+        out, err = capsys.readouterr()
+        if scale is None:
+            assert code == EXIT_USAGE
+            assert "nan" in err
+        else:
+            assert code == EXIT_OK
+            assert float(out.strip()) == scale
 
     @pytest.mark.parametrize("text", [
         json.dumps({"tables": []}),

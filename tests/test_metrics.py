@@ -195,6 +195,25 @@ class TestEvaluate:
         softmax_cross_entropy(logits, dataset.labels[:8]).backward()
         assert all(p.grad is not None for p in model.parameters())
 
+    def test_runs_folded_convs_and_no_batch_norm(self, setup, monkeypatch):
+        # evaluation folds every eval batch norm into its conv: the same
+        # convs run as in a forward pass that records a graph, and no norm
+        import resizenet.model as model_mod
+        model, dataset = setup
+        calls = {"conv2d": 0, "batch_norm": 0}
+        for name in calls:
+            def spy(*args, _name=name, _fn=getattr(model_mod, name),
+                    **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(model_mod, name, spy)
+        model.forward(dataset.images, 0.5)
+        graph_calls = dict(calls)
+        assert graph_calls["batch_norm"] == graph_calls["conv2d"] > 0
+        calls.update(conv2d=0, batch_norm=0)
+        evaluate(model, dataset, 0.5, batch_size=len(dataset))
+        assert calls == {"conv2d": graph_calls["conv2d"], "batch_norm": 0}
+
     def test_feature_free_model_has_zero_variance(self):
         spec = ModelSpec(stage_blocks=(2, 2), channels=(8, 16),
                          num_classes=4, use_feature_input=False)

@@ -26,6 +26,7 @@ from resizenet.tensor import (
     conv2d,
     grad_check,
     mul,
+    no_grad,
     relu,
     scale_features,
     softmax_cross_entropy,
@@ -72,6 +73,19 @@ def spy_convs(monkeypatch) -> list:
         return conv2d(x, w, stride=stride, pad=pad)
 
     monkeypatch.setattr(resizenet.model, "conv2d", spy)
+    return calls
+
+
+def spy_batch_norms(monkeypatch) -> list:
+    """Record every batch norm the model runs; returns the call list."""
+    calls = []
+    batch_norm = resizenet.model.batch_norm
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return batch_norm(*args, **kwargs)
+
+    monkeypatch.setattr(resizenet.model, "batch_norm", spy)
     return calls
 
 
@@ -406,6 +420,74 @@ class TestGatedResNetForward:
         total = len(model.parameters())
         assert total == len(model.gate_parameters()) \
             + len(model.backbone_parameters())
+
+
+class TestFoldedEvalBatchNorm:
+    """Graph-free eval runs each conv + eval batch norm as one conv with
+    folded weights and a bias; it must agree with the unfolded pass."""
+
+    @staticmethod
+    def randomize_bn(norms, rng):
+        """Random gamma, beta and running stats on each norm (None skipped)."""
+        for bn in filter(None, norms):
+            c = bn.gamma.shape[0]
+            bn.gamma.data[...] = rng.uniform(0.5, 1.5, c)
+            bn.beta.data[...] = rng.standard_normal(c) * 0.3
+            bn.running_mean[...] = rng.standard_normal(c) * 0.5
+            bn.running_var[...] = rng.uniform(0.2, 3.0, c)
+
+    def test_no_grad_forward_matches_batch_norm_forward(self, monkeypatch):
+        spec = ModelSpec(stage_blocks=(2, 2), channels=(6, 10),
+                         num_classes=4)
+        model = GatedResNet(spec, np.random.default_rng(50))
+        rng = np.random.default_rng(51)
+        self.randomize_bn([model.stem_bn] + [
+            bn for b in model.blocks for bn in (b.bn1, b.bn2, b.proj_bn)], rng)
+        x = rng.standard_normal((16, 3, 8, 8))
+        # centre every gate head on its block input at S=0.5, so that the
+        # gates open for about half of the samples
+        h = model._stem(Tensor(x), False)
+        for block, gp in zip(model.blocks, model.gate_modules):
+            gp.w2.data[...] = rng.standard_normal(gp.w2.shape) * 3.0
+            s = gate_forward(h, 0.5, gp, GateMode.SIGMOID).data
+            gp.b2.data -= np.median(np.log(s / (1.0 - s)))
+            gate = gate_forward(h, 0.5, gp, GateMode.BINARY)
+            h = gated_block_forward(h, block, gate, GateMode.BINARY)
+        assert any(b.proj_conv is not None for b in model.blocks)
+        bn_calls = spy_batch_norms(monkeypatch)
+        mixed = 0
+        for scale in (0.0, 0.5, 1.0):
+            ref_logits, ref_record = model.forward(x, scale)
+            assert bn_calls
+            bn_calls.clear()
+            with no_grad():
+                logits, record = model.forward(x, scale)
+            assert not bn_calls
+            np.testing.assert_array_equal(record.gates, ref_record.gates)
+            np.testing.assert_allclose(logits.data, ref_logits.data,
+                                       rtol=0, atol=1e-10)
+            g = record.gates
+            mixed += int(np.sum((g.min(axis=0) == 0) & (g.max(axis=0) == 1)))
+        assert mixed > 0  # some block ran its branch on a subset of rows
+
+    @pytest.mark.parametrize("c_out,stride", [(6, 1), (12, 2)],
+                             ids=["identity", "projection"])
+    def test_mixed_gate_block_matches_batch_norm(self, monkeypatch, c_out,
+                                                 stride):
+        block = make_block(6, c_out, stride=stride,
+                           rng=np.random.default_rng(52))
+        rng = np.random.default_rng(53)
+        self.randomize_bn([block.bn1, block.bn2, block.proj_bn], rng)
+        x = Tensor(np.maximum(rng.standard_normal((3, 6, 8, 8)), 0.0))
+        gate = Tensor([1.0, 0.0, 1.0])
+        bn_calls = spy_batch_norms(monkeypatch)
+        ref = gated_block_forward(x, block, gate, GateMode.BINARY)
+        assert len(bn_calls) == 2 + (block.proj_bn is not None)
+        bn_calls.clear()
+        with no_grad():
+            out = gated_block_forward(x, block, gate, GateMode.BINARY)
+        assert not bn_calls
+        np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-10)
 
 
 class TestRandomDropForward:

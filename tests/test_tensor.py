@@ -4,6 +4,7 @@ gradients against central finite differences."""
 import numpy as np
 import pytest
 
+import resizenet.tensor
 from resizenet.tensor import (
     NonFiniteError,
     ShapeError,
@@ -53,6 +54,19 @@ def naive_conv2d(x, w, stride=1, pad=0):
                                     * w[co, ci, u, v]
                     out[n, co, i, j] = acc
     return out
+
+
+def spy_im2col_rows(monkeypatch) -> list:
+    """Record the sample count of every ``_im2col`` call."""
+    rows = []
+    im2col = resizenet.tensor._im2col
+
+    def spy(x, *args):
+        rows.append(x.shape[0])
+        return im2col(x, *args)
+
+    monkeypatch.setattr(resizenet.tensor, "_im2col", spy)
+    return rows
 
 
 class TestTensorBasics:
@@ -198,6 +212,56 @@ class TestConv2d:
         err = grad_check(lambda: sum_all(mul(conv2d(x, w, stride=2), r)),
                          [x, w])
         assert err < 1e-4
+
+
+    @pytest.mark.parametrize("k,pad", [(1, 0), (3, 1)])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_blocked_columns_match_naive_reference(self, monkeypatch, k, pad,
+                                                   stride):
+        # a budget of two samples' columns splits a batch of 5 into blocks
+        # of 2, 2 and 1; a graph-free conv builds no other columns
+        rng = np.random.default_rng(44)
+        x = rng.standard_normal((5, 3, 7, 6))
+        w = rng.standard_normal((4, 3, k, k))
+        bias = rng.standard_normal(4)
+        ref = naive_conv2d(x, w, stride=stride, pad=pad)
+        ho, wo = ref.shape[2:]
+        monkeypatch.setattr(resizenet.tensor, "_COLS_BLOCK_BYTES",
+                            2 * ho * wo * k * k * 3 * 8 + 7)
+        blocks = spy_im2col_rows(monkeypatch)
+        with no_grad():
+            out = conv2d(Tensor(x), Tensor(w), stride=stride, pad=pad,
+                         bias=Tensor(bias))
+        assert blocks == [2, 2, 1]
+        np.testing.assert_allclose(out.data, ref + bias[:, None, None],
+                                   atol=1e-12)
+
+    def test_recorded_weight_keeps_whole_batch_columns(self, monkeypatch):
+        # the weight gradient reads the columns, so they are built once
+        monkeypatch.setattr(resizenet.tensor, "_COLS_BLOCK_BYTES", 1)
+        blocks = spy_im2col_rows(monkeypatch)
+        rng = np.random.default_rng(45)
+        x = Tensor(rng.standard_normal((3, 2, 5, 5)))
+        w = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+        out = conv2d(x, w, pad=1)
+        assert blocks == [3]
+        np.testing.assert_allclose(out.data, naive_conv2d(x.data, w.data,
+                                                          pad=1), atol=1e-12)
+
+    def test_bias_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(46)
+        x = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.5, requires_grad=True)
+        bias = Tensor(rng.standard_normal(4), requires_grad=True)
+        r = Tensor(rng.standard_normal((2, 4, 3, 3)))
+        err = grad_check(lambda: sum_all(mul(relu(
+            conv2d(x, w, stride=2, pad=1, bias=bias)), r)), [x, w, bias])
+        assert err < 1e-4
+
+    def test_bias_length_checked(self):
+        with pytest.raises(ShapeError, match="bias"):
+            conv2d(Tensor(np.zeros((1, 1, 4, 4))),
+                   Tensor(np.zeros((2, 1, 3, 3))), bias=Tensor(np.zeros(3)))
 
 
 class TestAffine:
