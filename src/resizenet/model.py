@@ -290,8 +290,8 @@ def gated_block_forward(x: Tensor, block: BlockParams, gate: Tensor,
     comes out bitwise equal to its input (identity shortcut; block inputs
     follow a ReLU, so the final ReLU cannot alter them).  With batch norm in
     eval mode every layer of the branch is per-sample, so a binary gate runs
-    the branch on its open rows only and adds it back into those rows; a
-    gate closed on every row skips the branch altogether.  Sigmoid gates and
+    the branch on its open rows only and adds it, unscaled, into those rows;
+    a gate closed on every row skips the branch altogether.  Sigmoid gates and
     training-mode batch norm compute the branch on every row and scale it.
     """
     shortcut = _shortcut(x, block, bn_training)
@@ -307,6 +307,7 @@ def gated_block_forward(x: Tensor, block: BlockParams, gate: Tensor,
         if rows.size < gate.shape[0]:
             branch = _residual_branch(take_rows(x, rows), block, False)
             return relu(add_rows(shortcut, rows, branch))
+        return relu(add(shortcut, _residual_branch(x, block, False)))
     branch = _residual_branch(x, block, bn_training)
     return relu(add(shortcut, scale_features(branch, gate)))
 

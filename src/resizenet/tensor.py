@@ -345,11 +345,11 @@ def sum_all(x: Tensor) -> Tensor:
 # (i, j, c): every window row is then k runs of k*C contiguous values.  The
 # layout stays inside these helpers; conv2d takes and returns [B,C,H,W].
 
-# Columns that no backward needs are built and consumed a block of samples
-# at a time, at most this many bytes, so they are still in cache when the
-# GEMM reads them: half of a common 2 MiB per-core L2, which leaves room for
-# the block's padded image and output.  Blocks follow from the shapes alone,
-# never the machine, so a given batch is always split the same way.
+# Every conv builds and consumes its columns a block of samples at a time,
+# at most this many bytes, so they are still in cache when the GEMM reads
+# them: half of a common 2 MiB per-core L2, leaving room for the block's
+# padded image and output.  The weight gradient rebuilds them from x.  The
+# blocks follow from the shapes alone, so a batch always splits the same way.
 _COLS_BLOCK_BYTES = 1 << 20
 
 
@@ -376,28 +376,26 @@ def _weight_matrix(w: np.ndarray) -> np.ndarray:
     return w.transpose(2, 3, 1, 0).reshape(-1, w.shape[0])
 
 
-def _conv(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
-          keep_cols: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """Array-level conv: (window columns, [B,Cout,Ho,Wo] output).
+def _col_blocks(x: np.ndarray, k: int, stride: int, pad: int) -> Iterator:
+    """Yield (output-row slice, window columns) per block of samples."""
+    b, c, h, w = x.shape
+    n = ((h + 2 * pad - k) // stride + 1) * ((w + 2 * pad - k) // stride + 1)
+    step = max(1, _COLS_BLOCK_BYTES // (n * k * k * c * x.itemsize))
+    for i in range(0, b, step):
+        yield (slice(i * n, (i + step) * n),
+               _im2col(x[i:i + step], k, stride, pad))
 
-    With ``keep_cols`` the whole batch's columns are built once and
-    returned; otherwise they are built per block of samples and dropped.
-    """
+
+def _conv(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
+    """Array-level conv: [B,C,H,W] -> [B,Cout,Ho,Wo], columns in blocks."""
     b, cout, k = x.shape[0], w.shape[0], w.shape[2]
     ho, wo = ((n + 2 * pad - k) // stride + 1 for n in x.shape[2:])
     wm = _weight_matrix(w)
-    if keep_cols:
-        cols = _im2col(x, k, stride, pad)            # [B*Ho*Wo, k*k*C]
-        out = cols @ wm
-    else:
-        cols, out = None, np.empty((b * ho * wo, cout))
-        step = max(1, _COLS_BLOCK_BYTES // (ho * wo * wm.shape[0]
-                                            * x.itemsize))
-        for i in range(0, b, step):
-            np.matmul(_im2col(x[i:i + step], k, stride, pad), wm,
-                      out=out[i * ho * wo:(i + step) * ho * wo])
+    out = np.empty((b * ho * wo, cout))
+    for rows, cols in _col_blocks(x, k, stride, pad):
+        np.matmul(cols, wm, out=out[rows])
     out = out.reshape(b, ho, wo, cout)
-    return cols, np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
@@ -430,9 +428,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
     # requires_grad is read at recording time; phase-frozen parameters and
     # raw input batches skip their (expensive) half of the backward work
     need_gx, need_gw = x.requires_grad, w.requires_grad
-    # only the weight gradient reads the columns
-    cols, out = _conv(x.data, w.data, stride, pad,
-                      keep_cols=_grad_enabled and need_gw)
+    out = _conv(x.data, w.data, stride, pad)
     if bias is not None:
         out += bias.data[:, None, None]
 
@@ -441,8 +437,11 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
         if need_gw:
             gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)) \
                 .reshape(-1, cout)
-            gw = (cols.T @ gmat).reshape(k, k, cin, cout) \
-                .transpose(3, 2, 0, 1)
+            # x is a graph parent, so its data is unchanged since forward
+            gw = np.zeros((k * k * cin, cout))
+            for rows, cols in _col_blocks(x.data, k, stride, pad):
+                gw += cols.T @ gmat[rows]
+            gw = gw.reshape(k, k, cin, cout).transpose(3, 2, 0, 1)
         if need_gx:
             # a stride-1 conv of g spread onto the padded input's window
             # starts, with the flipped, transposed kernel (w is read here,
@@ -450,8 +449,8 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
             gd = np.zeros((b, cout, h + 2 * pad - k + 1,
                            width + 2 * pad - k + 1), dtype=g.dtype)
             gd[:, :, ::stride, ::stride] = g
-            _, gx = _conv(gd, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
-                          1, k - 1 - pad, keep_cols=False)
+            gx = _conv(gd, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
+                       1, k - 1 - pad)
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

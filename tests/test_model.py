@@ -1,6 +1,8 @@
 """Gating behavior tests: activation semantics, exact skip identities,
 gradient blocking, and the random-drop resizing baseline."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -491,16 +493,28 @@ class TestFoldedEvalBatchNorm:
 
 
 class TestRandomDropForward:
-    def test_scale_one_keeps_everything(self):
+    def test_scale_one_keeps_everything(self, monkeypatch):
         spec = ModelSpec(stage_blocks=(2, 2), channels=(8, 16), num_classes=4)
         model = GatedResNet(spec, np.random.default_rng(19))
         x = np.random.default_rng(20).standard_normal((2, 3, 8, 8))
-        logits, kept = random_drop_forward(model, x, 1.0,
-                                           np.random.default_rng(0))
-        assert kept.all()
-        full, _ = model.forward(x, 1.0, modes=[GateMode.BINARY] * 4)
-        # fresh init opens all gates, so gated forward runs every block too
-        np.testing.assert_array_equal(logits.data, full.data)
+        calls = []
+
+        def spy(features, gate):
+            calls.append(features.shape)
+            return scale_features(features, gate)
+
+        monkeypatch.setattr(resizenet.model, "scale_features", spy)
+        for grad in (True, False):
+            with contextlib.nullcontext() if grad else no_grad():
+                logits, kept = random_drop_forward(model, x, 1.0,
+                                                   np.random.default_rng(0))
+                full, record = model.forward(x, 1.0)
+            assert kept.all()
+            # fresh init opens all gates, so gated forward runs every block
+            # too, adding each branch unscaled as a kept block does
+            assert record.gates.min() == 1.0
+            assert calls == []
+            np.testing.assert_array_equal(logits.data, full.data)
 
     def test_half_scale_keeps_exactly_half(self):
         spec = ModelSpec(stage_blocks=(54,), channels=(4,), num_classes=2)

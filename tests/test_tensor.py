@@ -219,12 +219,14 @@ class TestConv2d:
     def test_blocked_columns_match_naive_reference(self, monkeypatch, k, pad,
                                                    stride):
         # a budget of two samples' columns splits a batch of 5 into blocks
-        # of 2, 2 and 1; a graph-free conv builds no other columns
+        # of 2, 2 and 1, with or without a graph: no conv builds other
+        # columns, and the weight gradient rebuilds its own in blocks
         rng = np.random.default_rng(44)
         x = rng.standard_normal((5, 3, 7, 6))
         w = rng.standard_normal((4, 3, k, k))
         bias = rng.standard_normal(4)
         ref = naive_conv2d(x, w, stride=stride, pad=pad)
+        y = rng.standard_normal(ref.shape)
         ho, wo = ref.shape[2:]
         monkeypatch.setattr(resizenet.tensor, "_COLS_BLOCK_BYTES",
                             2 * ho * wo * k * k * 3 * 8 + 7)
@@ -236,17 +238,19 @@ class TestConv2d:
         np.testing.assert_allclose(out.data, ref + bias[:, None, None],
                                    atol=1e-12)
 
-    def test_recorded_weight_keeps_whole_batch_columns(self, monkeypatch):
-        # the weight gradient reads the columns, so they are built once
-        monkeypatch.setattr(resizenet.tensor, "_COLS_BLOCK_BYTES", 1)
-        blocks = spy_im2col_rows(monkeypatch)
-        rng = np.random.default_rng(45)
-        x = Tensor(rng.standard_normal((3, 2, 5, 5)))
-        w = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
-        out = conv2d(x, w, pad=1)
-        assert blocks == [3]
-        np.testing.assert_allclose(out.data, naive_conv2d(x.data, w.data,
-                                                          pad=1), atol=1e-12)
+        blocks.clear()
+        xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, bias))
+        out = conv2d(xt, wt, stride=stride, pad=pad, bias=bt)
+        assert blocks == [2, 2, 1]
+        np.testing.assert_allclose(out.data, ref + bias[:, None, None],
+                                   atol=1e-12)
+        backward(sum_all(mul(out, Tensor(y))))
+        assert max(blocks) <= 2 and len(blocks) > 6
+        # conv is bilinear: <x, dx> == <w, dw> == <conv(x, w), y>
+        inner = np.sum(ref * y)
+        np.testing.assert_allclose(np.sum(x * xt.grad), inner, rtol=1e-12)
+        np.testing.assert_allclose(np.sum(w * wt.grad), inner, rtol=1e-12)
+        np.testing.assert_array_equal(bt.grad, y.sum(axis=(0, 2, 3)))
 
     def test_bias_gradients_match_finite_differences(self):
         rng = np.random.default_rng(46)
