@@ -252,6 +252,25 @@ class TestConv2d:
         np.testing.assert_allclose(np.sum(w * wt.grad), inner, rtol=1e-12)
         np.testing.assert_array_equal(bt.grad, y.sum(axis=(0, 2, 3)))
 
+    def test_recorded_weight_rebuilds_columns_in_blocks(self, monkeypatch):
+        # the weight gradient rebuilds its columns one block at a time, and
+        # an input that needs no gradient adds no input-gradient conv
+        monkeypatch.setattr(resizenet.tensor, "_COLS_BLOCK_BYTES", 1)
+        blocks = spy_im2col_rows(monkeypatch)
+        rng = np.random.default_rng(45)
+        x = Tensor(rng.standard_normal((3, 2, 5, 5)))
+        w = Tensor(rng.standard_normal((4, 2, 3, 3)), requires_grad=True)
+        out = conv2d(x, w, pad=1)
+        assert blocks == [1, 1, 1]
+        ref = naive_conv2d(x.data, w.data, pad=1)
+        np.testing.assert_allclose(out.data, ref, atol=1e-12)
+        y = rng.standard_normal(ref.shape)
+        backward(sum_all(mul(out, Tensor(y))))
+        assert blocks == [1, 1, 1] * 2
+        assert x.grad is None
+        np.testing.assert_allclose(np.sum(w.data * w.grad), np.sum(ref * y),
+                                   rtol=1e-12)
+
     def test_bias_gradients_match_finite_differences(self):
         rng = np.random.default_rng(46)
         x = Tensor(rng.standard_normal((2, 3, 6, 5)), requires_grad=True)
