@@ -1,5 +1,7 @@
-"""Command-line harness: train models, sweep evaluation over a scale grid,
-emit block-usage maps, and calibrate compute budgets back to scale values.
+"""Command-line harness: ``train`` fits a model, ``eval`` sweeps a scale grid
+once and writes every per-scale output (accuracy, usage and cost, wall time,
+the per-block usage map and the scale-to-cost calibration), and ``resolve``
+maps a compute budget back to a scale through that calibration.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numeric divergence.  All outputs land under the chosen output directory;
@@ -65,8 +67,8 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 def parse_model_spec(obj: dict) -> ModelSpec:
     _check_keys(obj, {f.name for f in fields(ModelSpec)}, "model")
-    try:
-        return ModelSpec.from_dict(obj)
+    try:  # a key the config leaves out takes ModelSpec's default
+        return ModelSpec.from_dict({**ModelSpec().to_dict(), **obj})
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"bad model spec: {exc}") from exc
 
@@ -244,12 +246,8 @@ def _parse_grid(values) -> list[float]:
     return grid
 
 
-def _sweep(args, gate_override: GateMode | None = None):
-    """Load the checkpoint and dataset, then evaluate at every grid scale.
-
-    Returns the grid, the MAC model, one EvalResult per scale, and the wall
-    time of each scale's ``evaluate`` in seconds.
-    """
+def cmd_eval(args) -> int:
+    override = GateMode.SIGMOID if args.gate_override else None
     model, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset_spec(_json_or_file(args.dataset), args.split)
     if dataset.num_classes > model.spec.num_classes:
@@ -261,24 +259,17 @@ def _sweep(args, gate_override: GateMode | None = None):
     # one untimed batch (evaluate's default size) takes the one-off start-up
     # costs (BLAS, memory pools) that would otherwise be timed at grid[0]
     head = Dataset(dataset.images[:256], dataset.labels[:256], dataset.split)
-    evaluate(model, head, grid[0], gate_override=gate_override,
-             flops_model=fm)
+    evaluate(model, head, grid[0], gate_override=override, flops_model=fm)
     results, seconds = [], []
     for s in grid:
         t0 = time.perf_counter()
-        results.append(evaluate(model, dataset, s,
-                                gate_override=gate_override, flops_model=fm))
+        results.append(evaluate(model, dataset, s, gate_override=override,
+                                flops_model=fm))
         seconds.append(time.perf_counter() - t0)
-    return grid, fm, results, seconds
 
-
-def cmd_eval(args) -> int:
-    override = GateMode.SIGMOID if args.gate_override else None
-    _, fm, results, seconds = _sweep(args, override)
     rows = [r.summary() for r in results]
     os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "eval.csv")
-    with open(csv_path, "w") as fh:
+    with open(os.path.join(args.out, "eval.csv"), "w") as fh:
         fields = ("scale", "accuracy", "usage_mean", "usage_std",
                   "flops_mean", "flops_std")
         fh.write(",".join(fields) + "\n")
@@ -297,34 +288,23 @@ def cmd_eval(args) -> int:
             for row, r, sec in zip(rows, results, seconds)]},
             fh, indent=2, sort_keys=True)
         fh.write("\n")
+    write_usage_map_csv(
+        os.path.join(args.out, "usage_map.csv"), grid,
+        np.stack([r.stats.per_block_usage for r in results], axis=1))
+    # resolve maps budgets for the binary gates that serving runs, so a
+    # sigmoid sweep writes no calibration
+    if override is None:
+        table, changed = monotone_envelope(
+            [(s, r.stats.macs_mean) for s, r in zip(grid, results)])
+        if changed:
+            print("warning: calibration was not monotone; envelope applied",
+                  file=sys.stderr)
+        write_calibration_json(os.path.join(args.out, "calibration.json"),
+                               table, fm)
     for row in rows:
         print(f"S={row['scale']:.2f} acc={row['accuracy']:.4f} "
               f"usage={row['usage_mean']:.2f}+-{row['usage_std']:.2f} "
               f"MACs={row['flops_mean']:.3e}+-{row['flops_std']:.2e}")
-    return EXIT_OK
-
-
-def cmd_usage_map(args) -> int:
-    grid, _, results, _ = _sweep(args)
-    matrix = np.stack([r.stats.per_block_usage for r in results], axis=1)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "usage_map.csv")
-    write_usage_map_csv(path, grid, matrix)
-    print(f"wrote {matrix.shape[0]}x{matrix.shape[1]} usage map to {path}")
-    return EXIT_OK
-
-
-def cmd_calibrate(args) -> int:
-    grid, fm, results, _ = _sweep(args)
-    table = [(s, r.stats.macs_mean) for s, r in zip(grid, results)]
-    table, changed = monotone_envelope(table)
-    if changed:
-        print("warning: calibration was not monotone; envelope applied",
-              file=sys.stderr)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "calibration.json")
-    write_calibration_json(path, table, fm)
-    print(f"wrote {len(table)}-point calibration to {path}")
     return EXIT_OK
 
 
@@ -375,28 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--init-from", help="checkpoint to start from")
     p_train.set_defaults(func=cmd_train)
 
-    def eval_like(name, help_):
-        p = sub.add_parser(name, help=help_)
-        p.add_argument("--checkpoint", required=True)
-        p.add_argument("--dataset", required=True,
-                       help="dataset spec: JSON file path or inline JSON")
-        p.add_argument("--split", choices=("train", "val"), default="val")
-        p.add_argument("--grid", nargs="+", required=True,
-                       metavar="S", help="ascending scale values")
-        p.add_argument("--out", required=True)
-        return p
-
-    p_eval = eval_like("eval", "accuracy/usage/cost across a scale grid")
+    p_eval = sub.add_parser(
+        "eval", help="accuracy, usage, cost, usage map and calibration "
+                     "across a scale grid")
+    p_eval.add_argument("--checkpoint", required=True)
+    p_eval.add_argument("--dataset", required=True,
+                        help="dataset spec: JSON file path or inline JSON")
+    p_eval.add_argument("--split", choices=("train", "val"), default="val")
+    p_eval.add_argument("--grid", nargs="+", required=True,
+                        metavar="S", help="ascending scale values")
+    p_eval.add_argument("--out", required=True)
     p_eval.add_argument("--gate-override", choices=("sigmoid",),
                         help="evaluate with sigmoid gates instead of the "
-                             "binary default")
+                             "binary default (writes no calibration.json)")
     p_eval.set_defaults(func=cmd_eval)
-
-    p_map = eval_like("usage-map", "per-block usage across a scale grid")
-    p_map.set_defaults(func=cmd_usage_map)
-
-    p_cal = eval_like("calibrate", "build a scale-to-cost table")
-    p_cal.set_defaults(func=cmd_calibrate)
 
     p_res = sub.add_parser("resolve",
                            help="map a compute budget to a scale value")

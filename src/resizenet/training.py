@@ -49,7 +49,7 @@ class FixedScaleConfig:
 class OptimizerSpec:
     kind: str = "adam"               # "adam" | "sgd"
     momentum: float = 0.9
-    weight_decay: float = 0.0
+    weight_decay: float = 0.0        # L2 term; sgd only
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -57,6 +57,9 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        if self.kind == "adam" and self.weight_decay:
+            raise ValueError("weight_decay applies to sgd only; adam "
+                             "would ignore it")
 
 
 @dataclass(frozen=True)
@@ -86,6 +89,8 @@ class TrainConfig:
                 raise ValueError("scale_range must satisfy 0 <= lo <= hi <= 1")
         if self.scale_range is None and self.scale_fixed is None:
             raise ValueError("need a scale_range or a scale_fixed setting")
+        if self.epochs_total < 1:
+            raise ValueError("epochs_total must be >= 1")
         if not 0 <= self.epochs_gate_only <= self.epochs_total:
             raise ValueError("epochs_gate_only must not exceed epochs_total")
         if not self.lr_schedule:
@@ -394,12 +399,12 @@ class Trainer:
         return evaluate(self.model, self.val_data, scale).accuracy
 
     def _finalize(self) -> None:
-        last = self.report.rows[-1] if self.report.rows else None
+        last = self.report.rows[-1]
         self.report.summary = {
             "epochs": len(self.report.rows),
-            "final_val_accuracy": last.val_accuracy if last else None,
-            "final_loss": last.loss_total if last else None,
-            "final_mean_usage": last.mean_usage if last else None,
+            "final_val_accuracy": last.val_accuracy,
+            "final_loss": last.loss_total,
+            "final_mean_usage": last.mean_usage,
             "baseline_mode": self.cfg.baseline_mode,
             "beta": self.cfg.beta,
             "p": self.cfg.p,

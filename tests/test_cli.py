@@ -18,7 +18,7 @@ from resizenet.cli import (
     parse_model_spec,
     parse_train_config,
 )
-from resizenet.data import make_synthetic, save_checkpoint
+from resizenet.data import load_checkpoint, make_synthetic, save_checkpoint
 from resizenet.model import GatedResNet, ModelSpec
 
 SMALL_MODEL = {"stage_blocks": [2], "channels": [8], "num_classes": 4}
@@ -125,6 +125,21 @@ class TestTrainCommand:
         assert main(["train", "--config", str(run_config)]) == EXIT_USAGE
         assert "bad model spec" in capsys.readouterr().err
 
+    def test_config_without_model_section_trains_default_spec(
+            self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "train": {"epochs_total": 1, "epochs_gate_only": 0,
+                      "batch_size": 32},
+            "dataset": SMALL_DATASET, "out_dir": str(tmp_path / "run")}))
+        assert main(["train", "--config", str(path)]) == EXIT_OK
+        model, _ = load_checkpoint(tmp_path / "run" / "model.ckpt")
+        assert model.spec == ModelSpec()
+
+    def test_model_section_without_num_classes_takes_default(self):
+        spec = parse_model_spec({"stage_blocks": [2], "channels": [8]})
+        assert spec == ModelSpec(stage_blocks=(2,), channels=(8,))
+
     def test_fixed_mode_needs_target(self, run_config):
         code = main(["train", "--config", str(run_config),
                      "--mode", "fixed"])
@@ -217,8 +232,11 @@ class TestTrainCommand:
     @pytest.mark.parametrize("section,value", [
         ("train", [1, 2]),
         ("train", {"lr_schedule": []}),
+        ("train", {"epochs_total": 0, "epochs_gate_only": 0}),
+        ("train", {"optimizer": {"kind": "adam", "weight_decay": 1e-3}}),
         ("dataset", {**SMALL_DATASET, "m": 0}),
-    ], ids=["train_list", "lr_schedule_empty", "synthetic_m_zero"])
+    ], ids=["train_list", "lr_schedule_empty", "zero_epochs",
+            "adam_weight_decay", "synthetic_m_zero"])
     def test_malformed_config_shape_is_usage_error(self, run_config, section,
                                                    value, capsys):
         cfg = json.loads(run_config.read_text())
@@ -308,7 +326,7 @@ class TestEvalCommand:
         assert rows["default"][0]["usage_mean"] != \
             rows["sigmoid"][0]["usage_mean"]
 
-    @pytest.mark.parametrize("command", ["eval", "usage-map", "calibrate"])
+    @pytest.mark.parametrize("command", ["eval"])
     def test_more_dataset_classes_than_model_is_usage_error(
             self, checkpoint, tmp_path, capsys, command):
         dataset = json.dumps({**SMALL_DATASET, "classes": 9})
@@ -354,20 +372,66 @@ class TestEvalCommand:
 
     def test_rerun_is_byte_identical(self, checkpoint, dataset_spec,
                                      tmp_path):
+        # timing.json holds wall times, so it is the one file left out
+        names = ("eval.csv", "eval.json", "usage_map.csv",
+                 "calibration.json")
         blobs = []
         for sub in ("a", "b"):
             out = tmp_path / sub
             main(["eval", "--checkpoint", checkpoint,
                   "--dataset", dataset_spec, "--grid", "0.3", "0.8",
                   "--out", str(out)])
-            blobs.append((out / "eval.csv").read_bytes())
+            blobs.append([(out / name).read_bytes() for name in names])
         assert blobs[0] == blobs[1]
+
+    def test_sigmoid_override_writes_no_calibration(self, checkpoint,
+                                                    dataset_spec, tmp_path):
+        # resolve serves binary gates; a sigmoid sweep has no table for it
+        out = tmp_path / "sig"
+        code = main(["eval", "--checkpoint", checkpoint,
+                     "--dataset", dataset_spec, "--grid", "0.2", "1.0",
+                     "--gate-override", "sigmoid", "--out", str(out)])
+        assert code == EXIT_OK
+        for name in ("eval.csv", "eval.json", "timing.json",
+                     "usage_map.csv"):
+            assert (out / name).exists(), name
+        assert not (out / "calibration.json").exists()
+
+    def test_gates_closing_with_scale_warn_and_get_envelope(
+            self, tmp_path, dataset_spec, capsys):
+        # a negative scale column opens every gate at S=0.2 and closes them
+        # all at S=1.0, so cost falls as S rises
+        model = GatedResNet(ModelSpec(stage_blocks=(2,), channels=(8,),
+                                      num_classes=4),
+                            np.random.default_rng(3))
+        for g in model.gate_modules:
+            g.w1.data[:-1, :] = 0.0
+            g.w1.data[-1, :] = -10.0
+            g.b1.data[:] = 5.0
+            g.w2.data[:] = 1.0
+            g.b2.data[:] = -1.0
+        ckpt = tmp_path / "closing.ckpt"
+        save_checkpoint(ckpt, model)
+        out = tmp_path / "e"
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--dataset", dataset_spec, "--grid", "0.2", "1.0",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert "not monotone" in capsys.readouterr().err
+        rows = json.loads((out / "eval.json").read_text())["rows"]
+        assert [r["usage_mean"] for r in rows] == [2.0, 0.0]
+        entries = json.loads((out / "calibration.json").read_text())["entries"]
+        # the running max carries S=0.2's cost over to S=1.0
+        assert [e["flops_mean"] for e in entries] == \
+            [rows[0]["flops_mean"]] * 2
 
 
 class TestUsageMapCommand:
+    """The usage map is one of eval's outputs."""
+
     def test_matrix_dimensions(self, checkpoint, dataset_spec, tmp_path):
         out = tmp_path / "map"
-        code = main(["usage-map", "--checkpoint", checkpoint,
+        code = main(["eval", "--checkpoint", checkpoint,
                      "--dataset", dataset_spec,
                      "--grid", "0.2", "0.5", "0.8", "--out", str(out)])
         assert code == EXIT_OK
@@ -377,12 +441,9 @@ class TestUsageMapCommand:
 
     def test_consistent_with_eval_usage(self, checkpoint, dataset_spec,
                                         tmp_path):
-        main(["usage-map", "--checkpoint", checkpoint,
-              "--dataset", dataset_spec, "--grid", "0.4", "0.9",
-              "--out", str(tmp_path / "m")])
         main(["eval", "--checkpoint", checkpoint, "--dataset", dataset_spec,
               "--grid", "0.4", "0.9", "--out", str(tmp_path / "e")])
-        matrix = np.loadtxt(tmp_path / "m" / "usage_map.csv",
+        matrix = np.loadtxt(tmp_path / "e" / "usage_map.csv",
                             delimiter=",", skiprows=1)
         rows = json.loads(
             (tmp_path / "e" / "eval.json").read_text())["rows"]
@@ -394,7 +455,7 @@ class TestCalibrateResolve:
     def test_calibrate_then_resolve(self, checkpoint, dataset_spec,
                                     tmp_path, capsys):
         out = tmp_path / "cal"
-        code = main(["calibrate", "--checkpoint", checkpoint,
+        code = main(["eval", "--checkpoint", checkpoint,
                      "--dataset", dataset_spec,
                      "--grid", "0.2", "0.6", "1.0", "--out", str(out)])
         assert code == EXIT_OK

@@ -123,6 +123,12 @@ class TestOptimizers:
                                         weight_decay=0.1)).step(0.5)
         assert p.data[0] == pytest.approx(2.0 - 0.5 * 0.1 * 2.0, abs=1e-15)
 
+    def test_adam_rejects_weight_decay(self):
+        # AdamOptimizer.step has no decay term, so the value would be ignored
+        with pytest.raises(ValueError, match="weight_decay"):
+            OptimizerSpec(kind="adam", weight_decay=1e-3)
+        OptimizerSpec(kind="adam", weight_decay=0.0)
+
     def test_adam_first_step_magnitude(self):
         p = Tensor([5.0, 5.0], requires_grad=True)
         p.grad = np.array([0.3, -40.0])
@@ -156,6 +162,9 @@ class TestTrainConfig:
             TrainConfig(epochs_total=5, epochs_gate_only=6)
         with pytest.raises(ValueError):
             TrainConfig(baseline_mode="bogus")
+        # a run with no epochs has no final row to report
+        with pytest.raises(ValueError, match="epochs_total"):
+            TrainConfig(epochs_total=0, epochs_gate_only=0)
 
     def test_random_drop_needs_a_scale_source(self):
         # the random-drop baseline draws its keep rate from the scale too
