@@ -37,12 +37,14 @@ def naive_conv(x, w):
 
 xa = rng.standard_normal((2, 3, 6, 6))
 wa = rng.standard_normal((4, 3, 3, 3))
-fast = conv2d(Tensor(xa), Tensor(wa)).data
+# the engine is channels-last: [B,H,W,C] in, [B,Ho,Wo,Cout] out
+fast = conv2d(Tensor(xa.transpose(0, 2, 3, 1)),
+              Tensor(wa)).data.transpose(0, 3, 1, 2)
 slow = naive_conv(xa, wa)
 print(f"max |vectorized - nested-loop| = {np.abs(fast - slow).max():.2e}")
 
 print("\n== gradient checking a conv+relu composite ==")
-xt = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=True)
+xt = Tensor(rng.standard_normal((1, 5, 5, 2)), requires_grad=True)
 wt = Tensor(rng.standard_normal((3, 2, 3, 3)) * 0.4, requires_grad=True)
 err = grad_check(lambda: sum_all(mul(relu(conv2d(xt, wt, pad=1)),
                                      relu(conv2d(xt, wt, pad=1)))),

@@ -27,7 +27,7 @@ print("evaluation always uses the binary form: a block runs its branch "
 
 print("\n== the gate sees pooled features plus the scale knob ==")
 gp = GateParams.create(8, 2, rng)
-x = Tensor(rng.standard_normal((4, 8, 6, 6)))
+x = Tensor(rng.standard_normal((4, 6, 6, 8)))   # channels-last [B,H,W,C]
 for scale in (0.2, 0.6, 1.0):
     g = gate_forward(x, scale, gp, GateMode.SIGMOID)
     print(f"scale {scale}: gates {np.round(g.data, 3)}")

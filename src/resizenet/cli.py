@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -292,15 +293,17 @@ def cmd_eval(args) -> int:
         os.path.join(args.out, "usage_map.csv"), grid,
         np.stack([r.stats.per_block_usage for r in results], axis=1))
     # resolve maps budgets for the binary gates that serving runs, so a
-    # sigmoid sweep writes no calibration
+    # sigmoid sweep writes no calibration and removes a stale one
+    calibration = Path(args.out, "calibration.json")
     if override is None:
         table, changed = monotone_envelope(
             [(s, r.stats.macs_mean) for s, r in zip(grid, results)])
         if changed:
             print("warning: calibration was not monotone; envelope applied",
                   file=sys.stderr)
-        write_calibration_json(os.path.join(args.out, "calibration.json"),
-                               table, fm)
+        write_calibration_json(calibration, table, fm)
+    else:
+        calibration.unlink(missing_ok=True)
     for row in rows:
         print(f"S={row['scale']:.2f} acc={row['accuracy']:.4f} "
               f"usage={row['usage_mean']:.2f}+-{row['usage_std']:.2f} "

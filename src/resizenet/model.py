@@ -233,16 +233,16 @@ def sample_gate_modes(p: float, n: int,
 
 def gate_forward(x: Tensor, scale: float, params: GateParams, mode: GateMode,
                  use_feature_input: bool = True) -> Tensor:
-    """Gate value per sample from pooled block input plus the scale knob.
+    """Gate value per sample from pooled [B,H,W,C] input plus the scale knob.
 
     With ``use_feature_input`` off the pooled features are replaced by
     zeros, so the gate depends on the scale alone and is identical for
     every sample in the batch.
     """
-    b, c = x.shape[0], x.shape[1]
+    b, c = x.shape[0], x.shape[3]
     if c != params.in_channels:
         raise ValueError(
-            f"gate module expects {params.in_channels} channels, got {c}")
+            f"gate expects {params.in_channels} channels on axis 3, got {c}")
     if use_feature_input:
         pooled = global_avg_pool(x)
     else:
@@ -356,15 +356,13 @@ class GatedResNet:
     def forward(self, x, scale: float,
                 modes: Sequence[GateMode] | None = None, *,
                 bn_training: bool = False) -> tuple[Tensor, GateRecord]:
-        """Run the network at the given scale.
+        """Run the network on [B,C,H,W] images ``x`` at the given scale.
 
         ``modes`` is one GateMode per block; None means evaluation, where
         every gate is binary.  Returns the logits and the gate record of
         this pass.
         """
         scale = _check_scale(scale)
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
         n = self.num_blocks
         if modes is None:
             modes = [GateMode.BINARY] * n
@@ -382,7 +380,10 @@ class GatedResNet:
         logits = self._head(h)
         return logits, GateRecord(gates)
 
-    def _stem(self, x: Tensor, bn_training: bool) -> Tensor:
+    def _stem(self, images, bn_training: bool) -> Tensor:
+        """Stem on [B,C,H,W] images; every activation after it is [B,H,W,C]."""
+        x = images.data if isinstance(images, Tensor) else images
+        x = Tensor(np.moveaxis(x, 1, -1).copy())
         return relu(_conv_bn(x, self.stem_conv, self.stem_bn, 1, 1,
                              bn_training))
 
@@ -470,8 +471,6 @@ def random_drop_forward(model: GatedResNet, x, scale: float,
 
     Returns the logits and the boolean kept-mask actually drawn.
     """
-    if not isinstance(x, Tensor):
-        x = Tensor(x)
     kept = sample_kept_blocks(scale, model.num_blocks, rng)
 
     h = model._stem(x, bn_training)

@@ -5,6 +5,8 @@ convolution, affine maps, relu/sigmoid/add, per-sample feature scaling,
 global average pooling, batch norm, and softmax cross-entropy.  There is no
 implicit broadcasting beyond the documented bias-add and per-sample gate
 cases; shape mismatches raise ``ShapeError`` naming the offending axes.
+Every 4-d activation is channels-last, [B,H,W,C]; batch norm works on its
+[B*H*W, C] view.  Conv weights stay [Cout,Cin,k,k].
 
 Each op records its inputs and a backward rule on the output tensor, so the
 computation graph is the implicit DAG of parent links.  ``backward`` walks
@@ -224,11 +226,11 @@ def sigmoid(x: Tensor) -> Tensor:
 def scale_features(features: Tensor, gate: Tensor) -> Tensor:
     """Scale each sample's whole feature map by its scalar gate.
 
-    ``features`` is [B,C,H,W]; ``gate`` is [B], broadcast over the remaining
+    ``features`` is [B,H,W,C]; ``gate`` is [B], broadcast over the remaining
     axes.  This is the one sanctioned broadcast besides the affine bias-add.
     """
     _require(features.data.ndim == 4,
-             f"scale_features: features must be 4-d, got {features.shape}")
+             f"scale_features: need 4-d [B,H,W,C], got {features.shape}")
     _require(gate.data.ndim == 1 and gate.shape[0] == features.shape[0],
              f"scale_features: gate batch {gate.shape} does not match "
              f"features batch {features.shape[0]}")
@@ -236,7 +238,7 @@ def scale_features(features: Tensor, gate: Tensor) -> Tensor:
     out = features.data * gcol
 
     def rule(g):
-        return g * gcol, np.einsum("bchw,bchw->b", g, features.data)
+        return g * gcol, np.einsum("bhwc,bhwc->b", g, features.data)
 
     return _from_op(out, (features, gate), rule)
 
@@ -306,13 +308,13 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Mean over the spatial axes: [B,C,H,W] -> [B,C]."""
-    _require(x.data.ndim == 4, f"global_avg_pool: need 4-d, got {x.shape}")
-    _, _, h, w = x.shape
-    out = x.data.mean(axis=(2, 3))
+    """Mean over the spatial axes: [B,H,W,C] -> [B,C]."""
+    _require(x.data.ndim == 4, f"global_avg_pool: {x.shape} is not [B,H,W,C]")
+    _, h, w, _ = x.shape
+    out = x.data.mean(axis=(1, 2))
 
     def rule(g):
-        return (np.broadcast_to(g[:, :, None, None], x.shape) / (h * w),)
+        return (np.broadcast_to(g[:, None, None, :], x.shape) / (h * w),)
 
     return _from_op(out, (x,), rule)
 
@@ -341,9 +343,8 @@ def sum_all(x: Tensor) -> Tensor:
 
 # -- convolution ------------------------------------------------------------
 
-# Columns are gathered from a channels-last copy of the input and ordered
-# (i, j, c): every window row is then k runs of k*C contiguous values.  The
-# layout stays inside these helpers; conv2d takes and returns [B,C,H,W].
+# Columns are ordered (i, j, c), so every window row is one contiguous run of
+# k*C values of the channels-last input.
 
 # Every conv builds and consumes its columns a block of samples at a time,
 # at most this many bytes, so they are still in cache when the GEMM reads
@@ -354,21 +355,20 @@ _COLS_BLOCK_BYTES = 1 << 20
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    """[B,C,H,W] -> [B*Ho*Wo, k*k*C] window columns ordered (i, j, c)."""
-    b, c, h, w = x.shape
+    """[B,H,W,C] -> [B*Ho*Wo, k*k*C] window columns ordered (i, j, c)."""
+    b, h, w, c = x.shape
     if k == 1 and pad == 0:
-        # a 1x1 window is one pixel: no padded image, one strided copy
-        return np.ascontiguousarray(
-            x[:, :, ::stride, ::stride].transpose(0, 2, 3, 1)).reshape(-1, c)
+        # a 1x1 window is one pixel: no padded image, the strided input
+        return x[:, ::stride, ::stride].reshape(-1, c)
     ho = (h + 2 * pad - k) // stride + 1
     wo = (w + 2 * pad - k) // stride + 1
     img = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
-    img[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
-    # [B, Ho, Wo, C, k, k] window view, subsampled by the stride
-    windows = np.lib.stride_tricks.sliding_window_view(img, (k, k),
-                                                       axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, k * k * c)
+    img[:, pad:pad + h, pad:pad + w] = x
+    # [B, Ho, Wo, k, k*C]: window row i is k*C contiguous values of img
+    sb, sh, sw, sc = img.strides
+    return np.lib.stride_tricks.as_strided(
+        img, (b, ho, wo, k, k * c), (sb, sh * stride, sw * stride, sh, sc),
+        writeable=False).reshape(b * ho * wo, k * k * c)
 
 
 def _weight_matrix(w: np.ndarray) -> np.ndarray:
@@ -378,7 +378,7 @@ def _weight_matrix(w: np.ndarray) -> np.ndarray:
 
 def _col_blocks(x: np.ndarray, k: int, stride: int, pad: int) -> Iterator:
     """Yield (output-row slice, window columns) per block of samples."""
-    b, c, h, w = x.shape
+    b, h, w, c = x.shape
     n = ((h + 2 * pad - k) // stride + 1) * ((w + 2 * pad - k) // stride + 1)
     step = max(1, _COLS_BLOCK_BYTES // (n * k * k * c * x.itemsize))
     for i in range(0, b, step):
@@ -387,35 +387,34 @@ def _col_blocks(x: np.ndarray, k: int, stride: int, pad: int) -> Iterator:
 
 
 def _conv(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """Array-level conv: [B,C,H,W] -> [B,Cout,Ho,Wo], columns in blocks."""
+    """Array-level conv: [B,H,W,C] -> [B,Ho,Wo,Cout], columns in blocks."""
     b, cout, k = x.shape[0], w.shape[0], w.shape[2]
-    ho, wo = ((n + 2 * pad - k) // stride + 1 for n in x.shape[2:])
+    ho, wo = ((n + 2 * pad - k) // stride + 1 for n in x.shape[1:3])
     wm = _weight_matrix(w)
     out = np.empty((b * ho * wo, cout))
     for rows, cols in _col_blocks(x, k, stride, pad):
         np.matmul(cols, wm, out=out[rows])
-    out = out.reshape(b, ho, wo, cout)
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    return out.reshape(b, ho, wo, cout)
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
            bias: Tensor | None = None) -> Tensor:
-    """2-d cross-correlation of [B,C,H,W] with [Cout,C,k,k] weights, plus
-    an optional [Cout] ``bias`` per output channel.
+    """2-d cross-correlation of [B,H,W,C] with [Cout,C,k,k] weights into
+    [B,Ho,Wo,Cout], plus an optional [Cout] ``bias`` per output channel.
 
     Square odd kernels and ``0 <= pad < k`` only; output spatial size is
     ``(H + 2*pad - k) // stride + 1``.  Differentiable in every argument.
     """
     _require(x.data.ndim == 4,
-             f"conv2d: input must be 4-d [B,C,H,W], got {x.shape}")
+             f"conv2d: input must be 4-d [B,H,W,C], got {x.shape}")
     _require(w.data.ndim == 4,
              f"conv2d: weight must be 4-d [Cout,Cin,k,k], got {w.shape}")
-    b, c, h, width = x.shape
+    b, h, width, c = x.shape
     cout, cin, kh, kw = w.shape
     _require(kh == kw, f"conv2d: kernel must be square, got {kh}x{kw}")
     _require(kh % 2 == 1, f"conv2d: kernel size must be odd, got {kh}")
     _require(cin == c,
-             f"conv2d: weight axis 1 is {cin} but input axis 1 is {c}")
+             f"conv2d: weight axis 1 is {cin} but input axis 3 is {c}")
     # a pad of k or more only adds windows of pure padding
     _require(0 <= pad < kh, f"conv2d: pad {pad} outside [0, {kh - 1}]")
     _require(h + 2 * pad >= kh and width + 2 * pad >= kw,
@@ -430,13 +429,12 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
     need_gx, need_gw = x.requires_grad, w.requires_grad
     out = _conv(x.data, w.data, stride, pad)
     if bias is not None:
-        out += bias.data[:, None, None]
+        out += bias.data
 
     def rule(g):
         gw = gx = None
         if need_gw:
-            gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)) \
-                .reshape(-1, cout)
+            gmat = g.reshape(-1, cout)
             # x is a graph parent, so its data is unchanged since forward
             gw = np.zeros((k * k * cin, cout))
             for rows, cols in _col_blocks(x.data, k, stride, pad):
@@ -446,14 +444,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
             # a stride-1 conv of g spread onto the padded input's window
             # starts, with the flipped, transposed kernel (w is read here,
             # not kept by the closure: the optimizer steps after backward)
-            gd = np.zeros((b, cout, h + 2 * pad - k + 1,
-                           width + 2 * pad - k + 1), dtype=g.dtype)
-            gd[:, :, ::stride, ::stride] = g
+            gd = np.zeros((b, h + 2 * pad - k + 1, width + 2 * pad - k + 1,
+                           cout), dtype=g.dtype)
+            gd[:, ::stride, ::stride] = g
             gx = _conv(gd, w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3),
                        1, k - 1 - pad)
         if bias is None:
             return gx, gw
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        return gx, gw, g.sum(axis=(0, 1, 2))
 
     parents = (x, w) if bias is None else (x, w, bias)
     return _from_op(out, parents, rule)
@@ -468,7 +466,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
                training: bool, momentum: float = 0.1,
                eps: float = BN_EPS) -> Tensor:
-    """Per-channel batch normalization over [B,C,H,W].
+    """Per-channel batch normalization over the [B*H*W, C] view of [B,H,W,C].
 
     Training mode normalizes by batch statistics and updates the running
     arrays in place with the given momentum; eval mode normalizes by the
@@ -476,46 +474,45 @@ def batch_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor,
     untrained eval pass is well defined).  Variances are biased, matching
     the normalization denominator.
     """
-    _require(x.data.ndim == 4, f"batch_norm: need 4-d input, got {x.shape}")
-    c = x.shape[1]
+    _require(x.data.ndim == 4, f"batch_norm: need [B,H,W,C], got {x.shape}")
+    c = x.shape[3]
     _require(gamma.shape == (c,) and beta_shift.shape == (c,),
-             f"batch_norm: gamma/beta must be [{c}], got "
+             f"batch_norm: gamma/beta must be [{c}] (input axis 3), got "
              f"{gamma.shape}/{beta_shift.shape}")
     _require(running_mean.shape == (c,) and running_var.shape == (c,),
              f"batch_norm: running stats must be [{c}]")
 
-    b, _, h, w = x.shape
-    m = b * h * w
-    xv = x.data.reshape(b, c, h * w)
+    xv = x.data.reshape(-1, c)
+    m = xv.shape[0]
     if training:
-        mean = np.einsum("bcn->c", xv) / m
-        xhat = xv - mean[:, None]
-        var = np.einsum("bcn,bcn->c", xhat, xhat) / m
+        mean = np.einsum("nc->c", xv) / m
+        xhat = xv - mean
+        var = np.einsum("nc,nc->c", xhat, xhat) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        xhat = xv - running_mean[:, None]
+        xhat = xv - running_mean
         var = running_var
 
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std[:, None]
-    out = xhat * gamma.data[:, None]
-    out += beta_shift.data[:, None]
+    xhat *= inv_std
+    out = xhat * gamma.data
+    out += beta_shift.data
 
     def rule(g):
-        gv = g.reshape(b, c, h * w)
-        dbeta = np.einsum("bcn->c", gv)
-        dgamma = np.einsum("bcn,bcn->c", gv, xhat)
+        gv = g.reshape(-1, c)
+        dbeta = np.einsum("nc->c", gv)
+        dgamma = np.einsum("nc,nc->c", gv, xhat)
         if training:
             # three-term formula for batch statistics; with dxhat = g*gamma,
             # sum(dxhat) = gamma*dbeta and sum(dxhat*xhat) = gamma*dgamma
-            gx = gv - dbeta[:, None] / m
-            gx -= xhat * (dgamma / m)[:, None]
-            gx *= (gamma.data * inv_std)[:, None]
+            gx = gv - dbeta / m
+            gx -= xhat * (dgamma / m)
+            gx *= gamma.data * inv_std
         else:
-            gx = gv * (gamma.data * inv_std)[:, None]
+            gx = gv * (gamma.data * inv_std)
         return gx.reshape(x.shape), dgamma, dbeta
 
     return _from_op(out.reshape(x.shape), (x, gamma, beta_shift), rule)

@@ -397,6 +397,19 @@ class TestEvalCommand:
             assert (out / name).exists(), name
         assert not (out / "calibration.json").exists()
 
+    def test_sigmoid_override_removes_stale_calibration(self, checkpoint,
+                                                        dataset_spec,
+                                                        tmp_path):
+        # a binary sweep's calibration would not describe the sigmoid
+        # sweep's files that replace its own in the same directory
+        out = tmp_path / "eval"
+        args = ["eval", "--checkpoint", checkpoint, "--dataset", dataset_spec,
+                "--grid", "0.2", "1.0", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        assert (out / "calibration.json").exists()
+        assert main(args + ["--gate-override", "sigmoid"]) == EXIT_OK
+        assert not (out / "calibration.json").exists()
+
     def test_gates_closing_with_scale_warn_and_get_envelope(
             self, tmp_path, dataset_spec, capsys):
         # a negative scale column opens every gate at S=0.2 and closes them

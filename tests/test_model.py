@@ -164,7 +164,7 @@ class TestSampleGateModes:
 class TestGateForward:
     def test_zero_params_give_half_sigmoid_and_closed_binary(self):
         gp = zero_gate_params(8)
-        x = Tensor(np.random.default_rng(2).standard_normal((3, 8, 4, 4)))
+        x = Tensor(np.random.default_rng(2).standard_normal((3, 4, 5, 8)))
         sg = gate_forward(x, 0.5, gp, GateMode.SIGMOID)
         bg = gate_forward(x, 0.5, gp, GateMode.BINARY)
         np.testing.assert_array_equal(sg.data, [0.5, 0.5, 0.5])
@@ -173,7 +173,7 @@ class TestGateForward:
     def test_feature_free_gate_is_sample_independent(self):
         rng = np.random.default_rng(3)
         gp = GateParams.create(8, 2, rng)
-        x = Tensor(rng.standard_normal((5, 8, 4, 4)))
+        x = Tensor(rng.standard_normal((5, 3, 4, 8)))
         out = gate_forward(x, 0.3, gp, GateMode.SIGMOID,
                            use_feature_input=False)
         assert np.all(out.data == out.data[0])
@@ -182,14 +182,14 @@ class TestGateForward:
         rng = np.random.default_rng(4)
         gp = GateParams.create(8, 2, rng)
         gp.w2.data[...] = rng.standard_normal(gp.w2.shape)  # amplify
-        x = Tensor(rng.standard_normal((5, 8, 4, 4)) * 3)
+        x = Tensor(rng.standard_normal((5, 3, 4, 8)) * 3)
         out = gate_forward(x, 0.3, gp, GateMode.SIGMOID)
         assert np.unique(out.data).size > 1
 
     def test_channel_mismatch_rejected(self):
         gp = GateParams.create(8, 2, np.random.default_rng(5))
-        with pytest.raises(ValueError, match="channels"):
-            gate_forward(Tensor(np.zeros((1, 4, 2, 2))), 0.5, gp,
+        with pytest.raises(ValueError, match="channels on axis 3, got 4"):
+            gate_forward(Tensor(np.zeros((1, 2, 3, 4))), 0.5, gp,
                          GateMode.SIGMOID)
 
     def test_hidden_width_uses_reduction(self):
@@ -205,7 +205,7 @@ class TestGateForward:
         gp.w1.data[4, :] = 1.0  # only the scale column is live
         gp.b2.data[...] = 0.0
         gp.w2.data[...] = 1.0
-        x = Tensor(np.zeros((2, 4, 2, 2)))
+        x = Tensor(np.zeros((2, 3, 5, 4)))
         low = gate_forward(x, 0.1, gp, GateMode.SIGMOID).data[0]
         high = gate_forward(x, 0.9, gp, GateMode.SIGMOID).data[0]
         assert high > low
@@ -213,7 +213,7 @@ class TestGateForward:
     def test_w2_gradients_in_sigmoid_mode(self):
         rng = np.random.default_rng(8)
         gp = GateParams.create(6, 2, rng)
-        x = Tensor(rng.standard_normal((4, 6, 3, 3)))
+        x = Tensor(rng.standard_normal((4, 3, 5, 6)))
         err = grad_check(
             lambda: sum_all(gate_forward(x, 0.6, gp, GateMode.SIGMOID)),
             [gp.w2, gp.b2, gp.w1, gp.b1])
@@ -222,7 +222,7 @@ class TestGateForward:
     def test_invalid_scale_rejected(self):
         gp = GateParams.create(4, 2, np.random.default_rng(9))
         with pytest.raises(ValueError, match="scale"):
-            gate_forward(Tensor(np.zeros((1, 4, 2, 2))), 1.2, gp,
+            gate_forward(Tensor(np.zeros((1, 2, 3, 4))), 1.2, gp,
                          GateMode.BINARY)
 
 
@@ -231,7 +231,7 @@ class TestGatedBlockForward:
         rng = np.random.default_rng(10)
         self.block = make_block(6, rng=rng)
         # block inputs follow a ReLU in the network, keep them non-negative
-        self.x = Tensor(np.abs(rng.standard_normal((3, 6, 5, 5))))
+        self.x = Tensor(np.abs(rng.standard_normal((3, 4, 5, 6))))
 
     def test_zero_gate_is_bitwise_identity(self):
         out = gated_block_forward(self.x, self.block, Tensor(np.zeros(3)),
@@ -255,7 +255,7 @@ class TestGatedBlockForward:
     def test_projection_block_changes_shape(self, monkeypatch):
         block = make_block(6, 12, stride=2, rng=np.random.default_rng(11))
         out = self.assert_closed_gate_skips_branch(block, monkeypatch)
-        assert out.shape == (3, 12, 3, 3)
+        assert out.shape == (3, 2, 3, 12)
 
     def test_closed_gate_in_bn_training_still_runs_branch(self, monkeypatch):
         calls = spy_branch(monkeypatch)
@@ -358,7 +358,7 @@ class TestGatedResNetForward:
         for gp in model.gate_modules:
             for t in (gp.w1, gp.b1, gp.w2, gp.b2):
                 t.data[...] = 0.0
-        x = Tensor(np.random.default_rng(15).standard_normal((2, 3, 8, 8)))
+        x = Tensor(np.random.default_rng(15).standard_normal((2, 3, 8, 7)))
         logits, record = model.forward(x, 0.5,
                                        modes=[GateMode.BINARY] * 3)
         assert np.all(record.gates == 0.0)
@@ -445,7 +445,7 @@ class TestFoldedEvalBatchNorm:
         rng = np.random.default_rng(51)
         self.randomize_bn([model.stem_bn] + [
             bn for b in model.blocks for bn in (b.bn1, b.bn2, b.proj_bn)], rng)
-        x = rng.standard_normal((16, 3, 8, 8))
+        x = rng.standard_normal((16, 3, 8, 7))
         # centre every gate head on its block input at S=0.5, so that the
         # gates open for about half of the samples
         h = model._stem(Tensor(x), False)
@@ -480,7 +480,7 @@ class TestFoldedEvalBatchNorm:
                            rng=np.random.default_rng(52))
         rng = np.random.default_rng(53)
         self.randomize_bn([block.bn1, block.bn2, block.proj_bn], rng)
-        x = Tensor(np.maximum(rng.standard_normal((3, 6, 8, 8)), 0.0))
+        x = Tensor(np.maximum(rng.standard_normal((3, 8, 7, 6)), 0.0))
         gate = Tensor([1.0, 0.0, 1.0])
         bn_calls = spy_batch_norms(monkeypatch)
         ref = gated_block_forward(x, block, gate, GateMode.BINARY)
