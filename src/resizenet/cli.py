@@ -171,51 +171,13 @@ def _json_or_file(value: str) -> dict:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config) if args.config else {}
-    train_obj = dict(config.get("train", {}))
     dataset_obj = config.get("dataset", {"kind": "synthetic", "m": 1024})
     out_dir = args.out or config.get("out_dir")
     if not out_dir:
         raise ConfigError("no output directory (use --out or out_dir)")
 
-    # flag overrides; without --mode the train section picks the regime
-    fixed = {key: v for key, v in (("scale", args.s_fixed),
-                                   ("sigma", args.sigma),
-                                   ("anneal_epochs", args.anneal))
-             if v is not None}
-    if fixed and args.mode in ("gated", "baseline-random"):
-        raise ConfigError(f"--s-fixed/--sigma/--anneal need --mode fixed or "
-                          f"no --mode, not --mode {args.mode}")
-    if args.mode == "gated":
-        train_obj["baseline_mode"] = "none"
-        train_obj["scale_fixed"] = None
-    elif args.mode == "fixed":
-        train_obj["baseline_mode"] = "none"
-        train_obj["scale_range"] = None
-    elif args.mode == "baseline-random":
-        train_obj["baseline_mode"] = "random_drop"
-        train_obj["scale_fixed"] = None
-    if fixed or args.mode == "fixed":  # scale_fixed wins over scale_range
-        fx = {**(train_obj.get("scale_fixed") or {}), **fixed}
-        if "scale" not in fx:
-            raise ConfigError("fixed-scale training needs --s-fixed or a "
-                              "train.scale_fixed.scale entry")
-        train_obj["scale_fixed"] = fx
-    if args.range is not None and train_obj.get("scale_fixed") is not None:
-        raise ConfigError("--range has no effect on a fixed-scale run; "
-                          "drop it or use --mode gated")
-    if args.p is not None:
-        train_obj["p"] = args.p
-    if args.beta is not None:
-        train_obj["beta"] = args.beta
-    if args.range is not None:
-        train_obj["scale_range"] = tuple(args.range)
-    if args.epochs is not None:
-        train_obj["epochs_total"] = args.epochs
-    if args.seed is not None:
-        train_obj["seed"] = args.seed
-
     spec = parse_model_spec(config.get("model", {}))
-    cfg = parse_train_config(train_obj)
+    cfg = parse_train_config(config.get("train", {}))
     train_data = load_dataset_spec(dataset_obj, "train")
     val_data = load_dataset_spec(dataset_obj, "val")
 
@@ -336,25 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run a training schedule")
     p_train.add_argument("--config", help="run-config JSON path")
     p_train.add_argument("--out", help="output directory")
-    p_train.add_argument("--mode",
-                         choices=("gated", "fixed", "baseline-random"),
-                         help="training regime; overrides the config's "
-                              "train section when given")
-    p_train.add_argument("--p", type=float,
-                         help="probability of the differentiable gate form")
-    p_train.add_argument("--beta", type=float,
-                         help="weight of the scale-adherence loss")
-    p_train.add_argument("--range", type=float, nargs=2,
-                         metavar=("MIN", "MAX"),
-                         help="uniform scale-sampling range")
-    p_train.add_argument("--s-fixed", type=float,
-                         help="fixed-scale target scale")
-    p_train.add_argument("--sigma", type=float,
-                         help="fixed-scale Gaussian scale noise")
-    p_train.add_argument("--anneal", type=int,
-                         help="fixed-scale annealing epochs")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--seed", type=int)
     p_train.add_argument("--init-from", help="checkpoint to start from")
     p_train.set_defaults(func=cmd_train)
 

@@ -64,6 +64,11 @@ class OptimizerSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run.  The regime follows from three fields: with
+    ``baseline_mode="random_drop"`` the random-drop baseline (no gate-only
+    epochs); otherwise fixed-scale compression when ``scale_fixed`` is set,
+    which wins over ``scale_range``; otherwise ranged training, drawing the
+    scale uniformly from ``scale_range``."""
     beta: float = 2.0
     p: float = 0.1
     scale_range: tuple[float, float] | None = (0.2, 1.0)
@@ -99,6 +104,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.baseline_mode not in ("none", "random_drop"):
             raise ValueError(f"unknown baseline_mode {self.baseline_mode!r}")
+        if self.baseline_mode == "random_drop" and self.epochs_gate_only:
+            raise ValueError("the random_drop baseline trains no gates, so "
+                             "epochs_gate_only must be 0")
         if self.gate_lr_scale <= 0:
             raise ValueError("gate_lr_scale must be > 0")
 
@@ -122,10 +130,11 @@ class EpochRow:
     val_accuracy: float
     mean_usage: float
     mean_scale: float
+    usage_slope: float
 
     FIELDS = ("epoch", "phase", "lr", "loss_total", "loss_classification",
               "loss_scale", "train_accuracy", "val_accuracy", "mean_usage",
-              "mean_scale")
+              "mean_scale", "usage_slope")
 
     def as_list(self):
         return [getattr(self, f) for f in self.FIELDS]
@@ -150,6 +159,19 @@ class TrainReport:
         with open(path, "w") as fh:
             json.dump(self.summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
+
+
+def usage_slope(scales, usages) -> float:
+    """Least-squares slope of per-batch usage on the drawn scale: how far
+    usage follows the knob within one epoch.  NaN when the drawn scales
+    have no spread (one batch, lo == hi, or a fixed scale without noise),
+    where no slope is defined."""
+    x = np.asarray(scales, dtype=np.float64)
+    if np.ptp(x) == 0.0:
+        return math.nan
+    dx = x - x.mean()
+    y = np.asarray(usages, dtype=np.float64)
+    return float(dx @ (y - y.mean()) / (dx @ dx))
 
 
 def sample_scale(scale_range: tuple[float, float],
@@ -331,8 +353,11 @@ class Trainer:
         n_batches = 0
         loss_sum = np.zeros(3)
         correct = 0
+        # running sums, not sum() over the lists below: Python 3.12's sum()
+        # compensates float rounding, which would change the written means
         usage_sum = 0.0
         scale_sum = 0.0
+        usages, scales = [], []  # per batch, for the usage-on-scale slope
 
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -379,6 +404,8 @@ class Trainer:
             correct += int((np.argmax(logits.data, axis=1) == yb).sum())
             usage_sum += usage
             scale_sum += scale
+            usages.append(usage)
+            scales.append(scale)
 
         val_acc = self._val_accuracy()
         self.report.rows.append(EpochRow(
@@ -389,7 +416,8 @@ class Trainer:
             train_accuracy=correct / len(self.train_data),
             val_accuracy=val_acc,
             mean_usage=usage_sum / n_batches,
-            mean_scale=scale_sum / n_batches))
+            mean_scale=scale_sum / n_batches,
+            usage_slope=usage_slope(scales, usages) / self.model.num_blocks))
         self._epoch += 1
 
     def _val_accuracy(self) -> float:

@@ -1,6 +1,7 @@
 """Command-line harness tests: config validation, command outputs, exit
 codes, and byte-level determinism of emitted files."""
 
+import csv
 import json
 import pathlib
 
@@ -140,41 +141,9 @@ class TestTrainCommand:
         spec = parse_model_spec({"stage_blocks": [2], "channels": [8]})
         assert spec == ModelSpec(stage_blocks=(2,), channels=(8,))
 
-    def test_fixed_mode_needs_target(self, run_config):
-        code = main(["train", "--config", str(run_config),
-                     "--mode", "fixed"])
-        assert code == EXIT_USAGE
-
-    def test_fixed_mode_flags(self, run_config, tmp_path):
-        code = main(["train", "--config", str(run_config), "--mode", "fixed",
-                     "--s-fixed", "0.6", "--sigma", "0.1", "--anneal", "1",
-                     "--out", str(tmp_path / "fx")])
-        assert code == EXIT_OK
-
-    def test_baseline_mode(self, run_config, tmp_path):
-        code = main(["train", "--config", str(run_config),
-                     "--mode", "baseline-random",
-                     "--out", str(tmp_path / "bl")])
-        assert code == EXIT_OK
-
-    def test_flag_overrides_apply(self, run_config, tmp_path):
-        out = tmp_path / "ov"
-        code = main(["train", "--config", str(run_config), "--p", "1.0",
-                     "--beta", "8.0", "--range", "0.5", "0.9",
-                     "--out", str(out)])
-        assert code == EXIT_OK
-
     def test_init_from_checkpoint(self, run_config, checkpoint, tmp_path):
         code = main(["train", "--config", str(run_config),
                      "--init-from", checkpoint,
-                     "--out", str(tmp_path / "warm")])
-        assert code == EXIT_OK
-
-    def test_init_from_checkpoint_with_p_flag(self, run_config, checkpoint,
-                                              tmp_path):
-        # --p sets the training regime only, not the architecture
-        code = main(["train", "--config", str(run_config),
-                     "--init-from", checkpoint, "--p", "0.5",
                      "--out", str(tmp_path / "warm")])
         assert code == EXIT_OK
 
@@ -184,10 +153,20 @@ class TestTrainCommand:
         run_config.write_text(json.dumps(cfg))
         return run_config
 
+    def test_init_from_checkpoint_with_other_p(self, run_config, checkpoint,
+                                               tmp_path):
+        # train.p sets the training regime only, not the architecture
+        path = self._config_with_train(run_config, p=0.5)
+        code = main(["train", "--config", str(path),
+                     "--init-from", checkpoint,
+                     "--out", str(tmp_path / "warm")])
+        assert code == EXIT_OK
+
     def test_config_regime_applies_without_mode_flag(self, run_config,
                                                      tmp_path):
         path = self._config_with_train(run_config,
-                                       baseline_mode="random_drop")
+                                       baseline_mode="random_drop",
+                                       epochs_gate_only=0)
         assert main(["train", "--config", str(path)]) == EXIT_OK
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["baseline_mode"] == "random_drop"
@@ -200,34 +179,11 @@ class TestTrainCommand:
             run_config, scale_range=None,
             scale_fixed={"scale": 0.5, "sigma": 0.0, "anneal_epochs": 0})
         assert main(["train", "--config", str(path)]) == EXIT_OK
-        rows = (tmp_path / "run" / "epochs.csv").read_text().splitlines()
-        assert all(row.endswith(",0.5") for row in rows[1:])
-
-    def test_fixed_scale_flags_apply_without_mode_flag(self, run_config,
-                                                       tmp_path):
-        assert main(["train", "--config", str(run_config), "--s-fixed",
-                     "0.6", "--sigma", "0", "--anneal", "0"]) == EXIT_OK
-        rows = (tmp_path / "run" / "epochs.csv").read_text().splitlines()
-        assert all(row.endswith(",0.6") for row in rows[1:])
-
-    @pytest.mark.parametrize("mode", ["gated", "baseline-random"])
-    def test_fixed_scale_flags_rejected_with_other_modes(self, run_config,
-                                                         mode, capsys):
-        code = main(["train", "--config", str(run_config), "--mode", mode,
-                     "--s-fixed", "0.6"])
-        assert code == EXIT_USAGE
-        assert "--s-fixed" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flags", [
-        ["--mode", "fixed", "--s-fixed", "0.6"],
-        ["--s-fixed", "0.6"],
-    ], ids=["mode_fixed", "s_fixed_only"])
-    def test_range_rejected_on_fixed_scale_runs(self, run_config, flags,
-                                                capsys):
-        code = main(["train", "--config", str(run_config), *flags,
-                     "--sigma", "0", "--anneal", "0", "--range", "0.2", "0.4"])
-        assert code == EXIT_USAGE
-        assert "--range" in capsys.readouterr().err
+        with open(tmp_path / "run" / "epochs.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["mean_scale"] for row in rows] == ["0.5", "0.5"]
+        # every batch draws the same scale, so no slope is defined
+        assert [row["usage_slope"] for row in rows] == ["nan", "nan"]
 
     @pytest.mark.parametrize("section,value", [
         ("train", [1, 2]),
@@ -251,6 +207,27 @@ class TestTrainCommand:
                                        scale_range=None)
         assert main(["train", "--config", str(path)]) == EXIT_USAGE
         assert "scale_range" in capsys.readouterr().err
+
+    def test_random_drop_with_gate_only_epochs_is_usage_error(
+            self, run_config, capsys):
+        # the fixture's train section keeps one gate-only epoch
+        path = self._config_with_train(run_config,
+                                       baseline_mode="random_drop")
+        assert main(["train", "--config", str(path)]) == EXIT_USAGE
+        assert "epochs_gate_only" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        ["--mode", "gated"], ["--p", "0.5"], ["--beta", "2"],
+        ["--range", "0.2", "1"], ["--s-fixed", "0.6"], ["--sigma", "0"],
+        ["--anneal", "0"], ["--epochs", "1"], ["--seed", "1"]],
+        ids=lambda flag: flag[0])
+    def test_removed_training_flag_is_usage_error(self, run_config, flag,
+                                                  tmp_path, capsys):
+        # the run config's train section is the one description of a run
+        code = main(["train", "--config", str(run_config), *flag])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_directory_as_dataset_path_is_data_error(self, run_config,
                                                      tmp_path, capsys):
@@ -326,11 +303,10 @@ class TestEvalCommand:
         assert rows["default"][0]["usage_mean"] != \
             rows["sigmoid"][0]["usage_mean"]
 
-    @pytest.mark.parametrize("command", ["eval"])
     def test_more_dataset_classes_than_model_is_usage_error(
-            self, checkpoint, tmp_path, capsys, command):
+            self, checkpoint, tmp_path, capsys):
         dataset = json.dumps({**SMALL_DATASET, "classes": 9})
-        code = main([command, "--checkpoint", checkpoint, "--dataset",
+        code = main(["eval", "--checkpoint", checkpoint, "--dataset",
                      dataset, "--grid", "0.5", "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
         assert "9 classes" in capsys.readouterr().err
@@ -439,7 +415,7 @@ class TestEvalCommand:
             [rows[0]["flops_mean"]] * 2
 
 
-class TestUsageMapCommand:
+class TestUsageMapOutput:
     """The usage map is one of eval's outputs."""
 
     def test_matrix_dimensions(self, checkpoint, dataset_spec, tmp_path):
@@ -465,7 +441,7 @@ class TestUsageMapCommand:
 
 
 class TestCalibrateResolve:
-    def test_calibrate_then_resolve(self, checkpoint, dataset_spec,
+    def test_eval_calibration_then_resolve(self, checkpoint, dataset_spec,
                                     tmp_path, capsys):
         out = tmp_path / "cal"
         code = main(["eval", "--checkpoint", checkpoint,

@@ -171,6 +171,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="scale_range"):
             TrainConfig(baseline_mode="random_drop", scale_range=None)
 
+    def test_random_drop_has_no_gate_only_phase(self):
+        # the baseline trains no gates, so gate-only epochs would silently
+        # run as baseline epochs
+        with pytest.raises(ValueError, match="epochs_gate_only"):
+            TrainConfig(baseline_mode="random_drop", epochs_total=2,
+                        epochs_gate_only=2, p=0.7)
+
 
 class TestGateOnlyPhase:
     def test_backbone_frozen_bitwise(self):
@@ -272,10 +279,25 @@ class TestBaselineTraining:
 
     def test_gate_modules_untouched(self):
         model, train, val, cfg = small_setup(
-            baseline_mode="random_drop", scale_range=(0.5, 1.0))
+            baseline_mode="random_drop", scale_range=(0.5, 1.0),
+            epochs_gate_only=0)
         before = parameter_checksum(model.gate_parameters())
         Trainer(model, train, None, cfg).run()
         assert parameter_checksum(model.gate_parameters()) == before
+
+
+class TestUsageSlope:
+    def test_random_drop_slope_is_near_one(self):
+        # random drop keeps round(S*N) of N blocks, so usage/N follows the
+        # drawn S one to one, up to rounding; six blocks keep that small
+        model = GatedResNet(ModelSpec(stage_blocks=(6,), channels=(4,),
+                                      num_classes=4),
+                            np.random.default_rng(0))
+        cfg = TrainConfig(baseline_mode="random_drop", scale_range=(0.0, 1.0),
+                          epochs_total=1, epochs_gate_only=0, batch_size=8)
+        trainer = Trainer(model, make_synthetic(256, 4, 8, seed=1), None, cfg)
+        trainer.run()
+        assert abs(trainer.report.rows[0].usage_slope - 1.0) < 0.1
 
 
 class TestReportOutputs:
