@@ -76,6 +76,9 @@ def parse_model_spec(obj: dict) -> ModelSpec:
 
 def parse_train_config(obj: dict) -> TrainConfig:
     _check_keys(obj, {f.name for f in fields(TrainConfig)}, "train")
+    if None not in (obj.get("scale_fixed"), obj.get("scale_range")):
+        raise ConfigError("train sets both scale_fixed and scale_range; a "
+                          "fixed-scale run sets scale_range to null")
     obj = dict(obj)
     try:
         for key in ("optimizer", "gate_optimizer"):
@@ -100,42 +103,30 @@ def parse_train_config(obj: dict) -> TrainConfig:
 
 
 def load_dataset_spec(obj: dict, split: str = "train") -> Dataset:
+    """One split of a ``dataset`` section.  Its keys are ``kind``, each
+    split's size or file, and the loader's own parameters, so the loader
+    rejects an unknown key and a key left out takes the loader's default."""
     if not isinstance(obj, dict):
         raise ConfigError(f"dataset spec must be a JSON object, not {obj!r}")
-    kind = obj.get("kind")
-    if kind == "synthetic":
-        _check_keys(obj, {"kind", "m", "val_m", "classes", "image_size",
-                          "seed", "noise_sigma", "template_scale"},
-                    "dataset")
-        seed = int(obj.get("seed", 0))
-        m = int(obj.get("val_m", max(1, obj.get("m", 512) // 2))) \
-            if split == "val" else int(obj.get("m", 512))
-        if m < 1:
-            raise ConfigError(f"synthetic {split} split needs at least one "
-                              f"sample, got {m}")
-        return make_synthetic(
-            m, int(obj.get("classes", 4)), int(obj.get("image_size", 8)),
-            seed=seed + (1 if split == "val" else 0),
-            noise_sigma=float(obj.get("noise_sigma", 0.5)),
-            template_scale=float(obj.get("template_scale", 0.12)),
-            split=split)
-    if kind in ("cifar10", "cifar100"):
-        _check_keys(obj, {"kind", "train_path", "test_path", "num_classes",
-                          "means", "stds", "augment"}, "dataset")
-        path = obj.get("test_path" if split == "val" else "train_path")
-        if not path:
-            raise ConfigError(f"dataset spec lacks a path for split {split}")
-        kwargs = {}
-        if "means" in obj:
-            kwargs["means"] = tuple(obj["means"])
-        if "stds" in obj:
-            kwargs["stds"] = tuple(obj["stds"])
-        return load_cifar_binary(
-            path, num_classes=int(obj.get("num_classes",
-                                          10 if kind == "cifar10" else 100)),
-            record_format=kind, split=split,
-            augment=bool(obj.get("augment", False)) and split == "train",
-            **kwargs)
+    kwargs = dict(obj)
+    kind = kwargs.pop("kind", None)
+    try:
+        if kind == "synthetic":
+            m, val_m = kwargs.pop("m", 512), kwargs.pop("val_m", None)
+            if split == "val":
+                m = max(1, m // 2) if val_m is None else val_m
+            return make_synthetic(m, split=split, **kwargs)
+        if kind in ("cifar10", "cifar100"):
+            path = {"train": kwargs.pop("train_path", None),
+                    "val": kwargs.pop("test_path", None)}.get(split)
+            if not path:
+                raise ConfigError(f"dataset spec lacks a {split} path")
+            return load_cifar_binary(path, record_format=kind, split=split,
+                                     **kwargs)
+    except (ConfigError, DatasetFormatError):
+        raise
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigError(f"bad dataset spec: {exc}") from exc
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
@@ -149,8 +140,6 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     _check_keys(obj, {"model", "train", "dataset", "out_dir", "seed",
                       "init_checkpoint"}, "run config")
-    if not isinstance(obj.get("train", {}), dict):
-        raise ConfigError(f"train section of {path} must be a JSON object")
     return obj
 
 
@@ -171,7 +160,7 @@ def _json_or_file(value: str) -> dict:
 
 def cmd_train(args) -> int:
     config = load_run_config(args.config) if args.config else {}
-    dataset_obj = config.get("dataset", {"kind": "synthetic", "m": 1024})
+    dataset_obj = config.get("dataset", {"kind": "synthetic"})
     out_dir = args.out or config.get("out_dir")
     if not out_dir:
         raise ConfigError("no output directory (use --out or out_dir)")

@@ -13,6 +13,7 @@ the header.
 from __future__ import annotations
 
 import json
+import operator
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -57,6 +58,7 @@ class Dataset:
     labels: np.ndarray
     split: str
     meta: dict = field(default_factory=dict)
+    augment: bool = False  # training on this set augments its batches
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
@@ -70,8 +72,10 @@ class Dataset:
         return int(self.meta.get("num_classes", self.labels.max() + 1))
 
 
-def make_synthetic(m: int, k: int = 4, h: int = 8, seed: int = 0, *,
-                   noise_sigma: float = 0.5, template_scale: float = 0.12,
+@np.errstate(over="raise")  # overflowing amplitudes raise FloatingPointError
+def make_synthetic(m: int, classes: int = 4, image_size: int = 8,
+                   seed: int = 0, *, noise_sigma: float = 0.5,
+                   template_scale: float = 0.12,
                    split: str = "train") -> Dataset:
     """Noisy-template classification task.
 
@@ -83,26 +87,31 @@ def make_synthetic(m: int, k: int = 4, h: int = 8, seed: int = 0, *,
     weight-shared conv stack at this noise level.  At the default
     amplitudes the nearest-template classifier (the Bayes rule for this
     generator) lands in the mid-to-high 90s, so the task is comfortably
-    learnable without being trivial.  Templates travel in ``meta`` for
-    oracle checks.
+    learnable without being trivial.  Both splits take the templates from
+    ``seed``, and the val split its labels and noise from a second
+    generator of that seed: unseen samples of the training task.
+    Templates travel in ``meta`` for oracle checks.
     """
-    if k < 2:
-        raise ValueError(f"need at least 2 classes, got {k}")
-    rng = np.random.default_rng(seed)
+    if m < 1 or classes < 2 or split not in ("train", "val"):
+        raise ValueError(f"need m >= 1, classes >= 2 and split train or "
+                         f"val, got {m}, {classes}, {split!r}")
+    h, noise_sigma = image_size, float(noise_sigma)
+    rng = np.random.default_rng(operator.index(seed))  # None would be unseeded
     factor = 2 if h % 2 == 0 else 1
-    coarse = rng.standard_normal((k, 3, h // factor, h // factor))
+    coarse = rng.standard_normal((classes, 3, h // factor, h // factor))
     templates = np.repeat(np.repeat(coarse, factor, axis=2), factor,
-                          axis=3) * template_scale
-    labels = rng.integers(0, k, m)
+                          axis=3) * float(template_scale)
+    if split == "val":
+        rng = np.random.default_rng([seed, 1])
+    labels = rng.integers(0, classes, m)
     images = templates[labels] + rng.standard_normal((m, 3, h, h)) * noise_sigma
     return Dataset(images=images, labels=labels, split=split,
-                   meta={"num_classes": k, "templates": templates,
+                   meta={"num_classes": classes, "templates": templates,
                          "noise_sigma": noise_sigma,
-                         "template_scale": template_scale,
-                         "seed": seed, "augment": False})
+                         "template_scale": template_scale, "seed": seed})
 
 
-def load_cifar_binary(path, *, num_classes: int = 10,
+def load_cifar_binary(path, *, num_classes: int | None = None,
                       record_format: str = "cifar10",
                       means: tuple = CIFAR10_MEANS,
                       stds: tuple = CIFAR10_STDS,
@@ -112,11 +121,14 @@ def load_cifar_binary(path, *, num_classes: int = 10,
 
     Pixels are scaled to [0,1] and then normalized per channel by the given
     mean/std.  ``record_format="cifar100"`` reads the 3074-byte variant
-    (coarse label byte + fine label byte) and keeps the fine label.
+    (coarse label byte + fine label byte) and keeps the fine label;
+    ``num_classes`` defaults to the format's 10 or 100.
     """
-    label_bytes = {"cifar10": 1, "cifar100": 2}.get(record_format)
+    label_bytes, classes = {"cifar10": (1, 10), "cifar100": (2, 100)}.get(
+        record_format, (None, None))
     if label_bytes is None:
         raise ValueError(f"unknown record format {record_format!r}")
+    num_classes = classes if num_classes is None else num_classes
     record = label_bytes + 3072
 
     raw = np.fromfile(path, dtype=np.uint8)
@@ -138,8 +150,8 @@ def load_cifar_binary(path, *, num_classes: int = 10,
     images = (images - means_arr) / stds_arr
     return Dataset(images=images, labels=labels, split=split,
                    meta={"num_classes": num_classes, "means": list(means),
-                         "stds": list(stds), "augment": augment,
-                         "record_format": record_format})
+                         "stds": list(stds), "record_format": record_format},
+                   augment=augment)
 
 
 def augment_batch(images: np.ndarray, rng: np.random.Generator, *,

@@ -349,7 +349,6 @@ class Trainer:
         cfg = self.cfg
         lr = cfg.lr_at(self._epoch)
         order = self.data_rng.permutation(len(self.train_data))
-        augment = bool(self.train_data.meta.get("augment"))
         n_batches = 0
         loss_sum = np.zeros(3)
         correct = 0
@@ -362,7 +361,7 @@ class Trainer:
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             xb = self.train_data.images[idx]
-            if augment:
+            if self.train_data.augment:
                 xb = augment_batch(xb, self.data_rng)
             yb = self.train_data.labels[idx]
             scale = self._draw_scale()

@@ -88,6 +88,25 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="kind"):
             load_dataset_spec({"kind": "imagenet"})
 
+    def test_dataset_section_takes_loader_defaults(self):
+        # a key the section leaves out takes make_synthetic's default
+        ds = load_dataset_spec({"kind": "synthetic", "m": 16}, "train")
+        assert ds.images.tobytes() == make_synthetic(16).images.tobytes()
+        assert len(load_dataset_spec({"kind": "synthetic"}, "val")) == 256
+
+    def test_synthetic_val_split_is_unseen_samples_of_training_task(self):
+        spec = {"kind": "synthetic", "m": 64, "val_m": 256, "seed": 5}
+        train = load_dataset_spec(spec, "train")
+        val = load_dataset_spec(spec, "val")
+        templates = train.meta["templates"]
+        assert np.array_equal(val.meta["templates"], templates)
+        assert len(val) == 256
+        same = (val.images[:, None] == train.images[None]).all(axis=(2, 3, 4))
+        assert not same.any()
+        flat = val.images.reshape(len(val), 1, -1)
+        d2 = ((flat - templates.reshape(1, len(templates), -1)) ** 2).sum(2)
+        assert (d2.argmin(axis=1) == val.labels).mean() >= 0.9
+
     def test_train_config_roundtrip(self):
         cfg = parse_train_config({
             "beta": 4.0, "p": 0.5, "scale_range": [0.3, 0.9],
@@ -185,20 +204,36 @@ class TestTrainCommand:
         # every batch draws the same scale, so no slope is defined
         assert [row["usage_slope"] for row in rows] == ["nan", "nan"]
 
-    @pytest.mark.parametrize("section,value", [
-        ("train", [1, 2]),
-        ("train", {"lr_schedule": []}),
-        ("train", {"epochs_total": 0, "epochs_gate_only": 0}),
-        ("train", {"optimizer": {"kind": "adam", "weight_decay": 1e-3}}),
-        ("dataset", {**SMALL_DATASET, "m": 0}),
+    @pytest.mark.parametrize("section,value,words", [
+        ("train", [1, 2], ["train"]),
+        ("train", {"lr_schedule": []}, ["lr_schedule"]),
+        ("train", {"epochs_total": 0, "epochs_gate_only": 0},
+         ["epochs_total"]),
+        ("train", {"optimizer": {"kind": "adam", "weight_decay": 1e-3}},
+         ["weight_decay"]),
+        ("train", {"scale_fixed": {"scale": 0.6}, "scale_range": [0.2, 1.0]},
+         ["scale_fixed", "scale_range"]),
+        ("dataset", {**SMALL_DATASET, "m": 0}, ["dataset"]),
+        ("dataset", {**SMALL_DATASET, "classes": None}, ["dataset"]),
+        ("dataset", {**SMALL_DATASET, "image_size": [8]}, ["dataset"]),
+        ("dataset", {**SMALL_DATASET, "m": "x"}, ["dataset"]),
+        ("dataset", {**SMALL_DATASET, "sigma": 0.5}, ["sigma"]),
+        ("dataset", {**SMALL_DATASET, "noise_sigma": 1e308}, ["overflow"]),
     ], ids=["train_list", "lr_schedule_empty", "zero_epochs",
-            "adam_weight_decay", "synthetic_m_zero"])
+            "adam_weight_decay", "scale_fixed_and_range", "synthetic_m_zero",
+            "synthetic_classes_null", "synthetic_image_size_list",
+            "synthetic_m_string", "synthetic_unknown_key",
+            "synthetic_noise_overflow"])
     def test_malformed_config_shape_is_usage_error(self, run_config, section,
-                                                   value, capsys):
+                                                   value, words, capsys):
         cfg = json.loads(run_config.read_text())
         run_config.write_text(json.dumps({**cfg, section: value}))
         assert main(["train", "--config", str(run_config)]) == EXIT_USAGE
-        assert "error: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        for word in words:
+            assert word in err
 
     def test_random_drop_without_scale_range_is_usage_error(self, run_config,
                                                             capsys):

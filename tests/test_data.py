@@ -67,6 +67,18 @@ class TestMakeSynthetic:
         with pytest.raises(ValueError, match="classes"):
             make_synthetic(10, 1, 8, seed=0)
 
+    @pytest.mark.parametrize("kwargs,error", [
+        ({"m": 0}, ValueError),
+        ({"split": "test"}, ValueError),
+        ({"seed": None}, TypeError),  # None would draw an unseeded task
+        ({"template_scale": [[[[[0.1]]]]]}, TypeError),
+        ({"noise_sigma": 1e308}, FloatingPointError),
+    ], ids=["m_zero", "split_test", "seed_none", "template_scale_nested",
+            "noise_overflow"])
+    def test_malformed_argument_rejected(self, kwargs, error):
+        with pytest.raises(error):
+            make_synthetic(**{"m": 64, "seed": 5, **kwargs})
+
 
 class TestCifarBinary:
     def _record(self, label, fill):
@@ -111,9 +123,9 @@ class TestCifarBinary:
     def test_coarse_fine_variant(self, tmp_path):
         path = tmp_path / "c100.bin"
         path.write_bytes(bytes([5, 42]) + bytes([0] * 3072))
-        ds = load_cifar_binary(path, num_classes=100,
-                               record_format="cifar100")
+        ds = load_cifar_binary(path, record_format="cifar100")
         assert ds.labels[0] == 42
+        assert ds.num_classes == 100
 
     def test_order_preserved(self, tmp_path):
         path = tmp_path / "many.bin"

@@ -1,6 +1,7 @@
 """Property tests on the two loaders that read files from outside the
 program: every malformed input must raise the loader's own error type and
-make the command line exit with the data-error code, never a traceback."""
+make the command line exit with the data-error code, never a traceback.
+A malformed synthetic dataset section must raise ConfigError (exit 1)."""
 
 import json
 import struct
@@ -11,7 +12,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from resizenet.cli import EXIT_DATA, main  # noqa: E402
+from resizenet.cli import (  # noqa: E402
+    EXIT_DATA,
+    ConfigError,
+    load_dataset_spec,
+    main,
+)
 from resizenet.data import (  # noqa: E402
     CheckpointError,
     DatasetFormatError,
@@ -27,12 +33,21 @@ FUZZ = settings(derandomize=True, database=None, deadline=None,
 
 # a small alphabet spares building Hypothesis's unicode tables (≈2 s)
 TEXT = st.text("ab0/.", max_size=4)
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | TEXT
-    | st.floats(allow_nan=False, allow_infinity=False),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(TEXT, inner, max_size=3),
-    max_leaves=6)
+
+
+def json_values(*scalars):
+    return st.recursive(
+        st.one_of(st.none(), st.booleans(), *scalars),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(TEXT, inner, max_size=3),
+        max_leaves=6)
+
+
+JSON_VALUES = json_values(
+    st.integers(), TEXT, st.floats(allow_nan=False, allow_infinity=False))
+# a size key's numbers stay small, so no draw allocates much memory
+SIZE_VALUES = json_values(st.integers(-2, 16), TEXT)
+SIZE_KEYS = ("m", "val_m", "classes", "image_size")
 
 DATASET = {"kind": "synthetic", "m": 8, "val_m": 8, "classes": 3,
            "image_size": 8, "seed": 0}
@@ -145,3 +160,17 @@ class TestCifarBinaryFuzz:
         else:
             assert len(blob) == len(ds) * record > 0
             assert ds.labels.max() < num_classes
+
+
+class TestSyntheticSectionFuzz:
+    @pytest.mark.parametrize(
+        "key", [*SIZE_KEYS, "seed", "noise_sigma", "template_scale"])
+    @FUZZ
+    @given(data=st.data())
+    def test_one_key_value(self, data, key):
+        value = data.draw(SIZE_VALUES if key in SIZE_KEYS else JSON_VALUES)
+        for split in ("train", "val"):
+            try:
+                load_dataset_spec({**DATASET, key: value}, split)
+            except ConfigError:
+                pass

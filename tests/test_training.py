@@ -29,7 +29,7 @@ SMALL_SPEC = ModelSpec(stage_blocks=(2,), channels=(8,), num_classes=4)
 def small_setup(seed=0, m=64, **cfg_kw):
     model = GatedResNet(SMALL_SPEC, np.random.default_rng(seed))
     train = make_synthetic(m, 4, 8, seed=seed + 1)
-    val = make_synthetic(32, 4, 8, seed=seed + 2, split="val")
+    val = make_synthetic(32, 4, 8, seed=seed + 1, split="val")
     defaults = dict(epochs_total=2, epochs_gate_only=1, batch_size=32,
                     seed=seed, lr_schedule=((0, 1e-3),))
     defaults.update(cfg_kw)
@@ -284,6 +284,23 @@ class TestBaselineTraining:
         before = parameter_checksum(model.gate_parameters())
         Trainer(model, train, None, cfg).run()
         assert parameter_checksum(model.gate_parameters()) == before
+
+
+@pytest.mark.parametrize("augment", [False, True])
+def test_augments_exactly_when_training_set_says_so(monkeypatch, augment):
+    calls = []
+
+    def spy(images, rng):
+        calls.append(len(images))
+        return images
+
+    monkeypatch.setattr("resizenet.training.augment_batch", spy)
+    model, train, val, cfg = small_setup(m=64, epochs_total=2)
+    train.augment = augment
+    val.augment = True  # the val set is never trained on
+    Trainer(model, train, val, cfg).run()
+    # two epochs of two 32-sample batches, the gate-only epoch included
+    assert calls == ([32] * 4 if augment else [])
 
 
 class TestUsageSlope:
