@@ -75,28 +75,24 @@ def parse_model_spec(obj: dict) -> ModelSpec:
 
 
 def parse_train_config(obj: dict) -> TrainConfig:
+    """Turn a ``train`` section's JSON shapes into ``TrainConfig``'s: nested
+    objects become dataclasses and lists become tuples.  The dataclasses
+    check every value."""
     _check_keys(obj, {f.name for f in fields(TrainConfig)}, "train")
-    if None not in (obj.get("scale_fixed"), obj.get("scale_range")):
-        raise ConfigError("train sets both scale_fixed and scale_range; a "
-                          "fixed-scale run sets scale_range to null")
     obj = dict(obj)
+    nested = {"optimizer": OptimizerSpec, "gate_optimizer": OptimizerSpec,
+              "scale_fixed": FixedScaleConfig}
     try:
-        for key in ("optimizer", "gate_optimizer"):
+        for key, cls in nested.items():
             if obj.get(key) is not None:
-                opt = obj[key]
-                _check_keys(opt, {f.name for f in fields(OptimizerSpec)},
+                _check_keys(obj[key], {f.name for f in fields(cls)},
                             f"train.{key}")
-                obj[key] = OptimizerSpec(**opt)
-        if obj.get("scale_fixed") is not None:
-            fx = obj["scale_fixed"]
-            _check_keys(fx, {f.name for f in fields(FixedScaleConfig)},
-                        "train.scale_fixed")
-            obj["scale_fixed"] = FixedScaleConfig(**fx)
+                obj[key] = cls(**obj[key])
         if obj.get("scale_range") is not None:
             obj["scale_range"] = tuple(obj["scale_range"])
         if "lr_schedule" in obj:
-            obj["lr_schedule"] = tuple((int(e), float(lr))
-                                       for e, lr in obj["lr_schedule"])
+            obj["lr_schedule"] = tuple(tuple(entry)
+                                       for entry in obj["lr_schedule"])
         return TrainConfig(**obj)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad train config: {exc}") from exc
@@ -138,7 +134,7 @@ def load_run_config(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    _check_keys(obj, {"model", "train", "dataset", "out_dir", "seed",
+    _check_keys(obj, {"model", "train", "dataset", "out_dir",
                       "init_checkpoint"}, "run config")
     return obj
 
@@ -174,8 +170,7 @@ def cmd_train(args) -> int:
     if init:
         model, _ = load_checkpoint(init, expected_spec=spec)
     else:
-        model = GatedResNet(spec, np.random.default_rng(
-            config.get("seed", cfg.seed)))
+        model = GatedResNet(spec, np.random.default_rng(cfg.seed))
 
     trainer = Trainer(model, train_data, val_data, cfg, out_dir=out_dir)
     report = trainer.run()

@@ -13,6 +13,7 @@ the header.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import struct
 import zlib
@@ -96,11 +97,15 @@ def make_synthetic(m: int, classes: int = 4, image_size: int = 8,
         raise ValueError(f"need m >= 1, classes >= 2 and split train or "
                          f"val, got {m}, {classes}, {split!r}")
     h, noise_sigma = image_size, float(noise_sigma)
+    template_scale = float(template_scale)
+    if not (math.isfinite(noise_sigma) and math.isfinite(template_scale)):
+        raise ValueError(f"noise_sigma and template_scale must be finite, "
+                         f"got {noise_sigma}, {template_scale}")
     rng = np.random.default_rng(operator.index(seed))  # None would be unseeded
     factor = 2 if h % 2 == 0 else 1
     coarse = rng.standard_normal((classes, 3, h // factor, h // factor))
     templates = np.repeat(np.repeat(coarse, factor, axis=2), factor,
-                          axis=3) * float(template_scale)
+                          axis=3) * template_scale
     if split == "val":
         rng = np.random.default_rng([seed, 1])
     labels = rng.integers(0, classes, m)
@@ -130,6 +135,13 @@ def load_cifar_binary(path, *, num_classes: int | None = None,
         raise ValueError(f"unknown record format {record_format!r}")
     num_classes = classes if num_classes is None else num_classes
     record = label_bytes + 3072
+    means_arr = np.asarray(means, dtype=np.float64)
+    stds_arr = np.asarray(stds, dtype=np.float64)
+    if means_arr.shape != (3,) or stds_arr.shape != (3,) or \
+            not np.isfinite(means_arr).all() or \
+            not ((stds_arr > 0) & (stds_arr < np.inf)).all():
+        raise ValueError(f"means and stds need one finite value per channel, "
+                         f"stds > 0, got {means!r}, {stds!r}")
 
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size == 0 or raw.size % record != 0:
@@ -145,9 +157,8 @@ def load_cifar_binary(path, *, num_classes: int | None = None,
 
     pixels = rows[:, label_bytes:].reshape(-1, 3, 32, 32)
     images = pixels.astype(np.float64) / 255.0
-    means_arr = np.asarray(means, dtype=np.float64)[None, :, None, None]
-    stds_arr = np.asarray(stds, dtype=np.float64)[None, :, None, None]
-    images = (images - means_arr) / stds_arr
+    images = (images - means_arr[None, :, None, None]) \
+        / stds_arr[None, :, None, None]
     return Dataset(images=images, labels=labels, split=split,
                    meta={"num_classes": num_classes, "means": list(means),
                          "stds": list(stds), "record_format": record_format},

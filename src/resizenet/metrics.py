@@ -129,7 +129,6 @@ class UsageStats:
     """Gate usage and cost statistics over one dataset at one scale."""
     scale: float
     per_block_usage: np.ndarray       # mean gate per block, [N]
-    per_block_variance: np.ndarray    # gate variance per block, [N]
     usage_mean: float                 # mean blocks used per sample
     usage_std: float
     macs_mean: float
@@ -186,12 +185,10 @@ def evaluate(model: GatedResNet, dataset, scale: float, *,
         gates, correct = _gather(model, dataset.images, dataset.labels,
                                  scale, gate_override, batch_size)
     per_block = gates.mean(axis=0)
-    per_block_var = gates.var(axis=0)
     totals = gates.sum(axis=1)
     macs = flops_model.sample_macs(gates)
     stats = UsageStats(scale=scale,
                        per_block_usage=per_block,
-                       per_block_variance=per_block_var,
                        usage_mean=float(per_block.sum()),
                        usage_std=float(totals.std()),
                        macs_mean=float(macs.mean()),

@@ -25,7 +25,6 @@ class LossBreakdown:
     total: float
     classification: float
     scale: float
-    beta: float
 
 
 def scale_loss(record: GateRecord, scale: float) -> Tensor:
@@ -55,5 +54,5 @@ def total_loss(logits: Tensor, labels: np.ndarray, record: GateRecord,
     total = add(l_cls, mul_scalar(l_scale, beta))
     breakdown = LossBreakdown(total=total.item(),
                               classification=l_cls.item(),
-                              scale=l_scale.item(), beta=beta)
+                              scale=l_scale.item())
     return total, breakdown

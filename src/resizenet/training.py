@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,19 @@ class DivergenceError(RuntimeError):
     """Training loss became non-finite."""
 
 
+def _check_number(name: str, value, low=None, *, integer=False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite number,
+    or with ``integer`` an integer, and at least ``low`` when given.  A bool
+    is neither, as in ModelSpec; a real beyond the float range is not
+    finite."""
+    ok = isinstance(value, numbers.Integral) if integer else \
+        isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not ok or low is not None and value < low:
+        kind = "an integer" if integer else "a finite number"
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be {kind}{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FixedScaleConfig:
     """Compression-mode target: anneal from 1 down to ``scale`` over
@@ -39,24 +54,25 @@ class FixedScaleConfig:
     def __post_init__(self):
         if not 0.0 <= self.scale <= 1.0:
             raise ValueError("fixed scale must lie in [0, 1]")
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
-        if self.anneal_epochs < 0:
-            raise ValueError("anneal_epochs must be >= 0")
+        _check_number("sigma", self.sigma, 0)
+        _check_number("anneal_epochs", self.anneal_epochs, 0, integer=True)
 
 
 @dataclass(frozen=True)
 class OptimizerSpec:
+    """``momentum`` is SGD's velocity decay and Adam's first-moment decay
+    (beta1); Adam's second-moment decay and epsilon are constants."""
     kind: str = "adam"               # "adam" | "sgd"
     momentum: float = 0.9
     weight_decay: float = 0.0        # L2 term; sgd only
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.kind not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
+        # Adam's bias correction divides by 1 - momentum**t
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must satisfy 0 <= momentum < 1")
+        _check_number("weight_decay", self.weight_decay, 0)
         if self.kind == "adam" and self.weight_decay:
             raise ValueError("weight_decay applies to sgd only; adam "
                              "would ignore it")
@@ -64,11 +80,13 @@ class OptimizerSpec:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One training run.  The regime follows from three fields: with
-    ``baseline_mode="random_drop"`` the random-drop baseline (no gate-only
-    epochs); otherwise fixed-scale compression when ``scale_fixed`` is set,
-    which wins over ``scale_range``; otherwise ranged training, drawing the
-    scale uniformly from ``scale_range``."""
+    """One training run, checked whole on construction.  The regime
+    follows from three fields: with ``baseline_mode="random_drop"`` the
+    random-drop baseline (no gate-only epochs); otherwise fixed-scale
+    compression when ``scale_fixed`` is set, or ranged training, drawing
+    the scale uniformly from ``scale_range``.  Exactly one of
+    ``scale_fixed`` and ``scale_range`` is set, so a fixed-scale run
+    passes ``scale_range=None``."""
     beta: float = 2.0
     p: float = 0.1
     scale_range: tuple[float, float] | None = (0.2, 1.0)
@@ -84,29 +102,38 @@ class TrainConfig:
     gate_lr_scale: float = 1.0       # lr multiplier for gate-module params
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        _check_number("beta", self.beta, 0)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
+        if (self.scale_range is None) == (self.scale_fixed is None):
+            raise ValueError("set exactly one of scale_range and "
+                             "scale_fixed; a fixed-scale run has no "
+                             "scale_range")
         if self.scale_range is not None:
             lo, hi = self.scale_range
             if not 0.0 <= lo <= hi <= 1.0:
                 raise ValueError("scale_range must satisfy 0 <= lo <= hi <= 1")
-        if self.scale_range is None and self.scale_fixed is None:
-            raise ValueError("need a scale_range or a scale_fixed setting")
-        if self.epochs_total < 1:
-            raise ValueError("epochs_total must be >= 1")
-        if not 0 <= self.epochs_gate_only <= self.epochs_total:
+        _check_number("epochs_total", self.epochs_total, 1, integer=True)
+        _check_number("epochs_gate_only", self.epochs_gate_only, 0,
+                      integer=True)
+        if self.epochs_gate_only > self.epochs_total:
             raise ValueError("epochs_gate_only must not exceed epochs_total")
+        if not isinstance(self.optimizer, OptimizerSpec):
+            raise ValueError(f"optimizer must be an OptimizerSpec, got "
+                             f"{self.optimizer!r}")
         if not self.lr_schedule:
             raise ValueError("lr_schedule needs an (epoch, lr) entry")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for epoch, lr in self.lr_schedule:
+            _check_number("lr_schedule epoch", epoch, 0, integer=True)
+            _check_number("lr_schedule lr", lr, 0)
+        _check_number("batch_size", self.batch_size, 1, integer=True)
+        _check_number("seed", self.seed, 0, integer=True)
         if self.baseline_mode not in ("none", "random_drop"):
             raise ValueError(f"unknown baseline_mode {self.baseline_mode!r}")
         if self.baseline_mode == "random_drop" and self.epochs_gate_only:
             raise ValueError("the random_drop baseline trains no gates, so "
                              "epochs_gate_only must be 0")
+        _check_number("gate_lr_scale", self.gate_lr_scale)
         if self.gate_lr_scale <= 0:
             raise ValueError("gate_lr_scale must be > 0")
 
@@ -143,7 +170,6 @@ class EpochRow:
 @dataclass
 class TrainReport:
     rows: list[EpochRow] = field(default_factory=list)
-    checkpoint_path: str | None = None
     summary: dict = field(default_factory=dict)
 
     def write_csv(self, path) -> None:
@@ -226,6 +252,10 @@ class SgdOptimizer:
 
 
 class AdamOptimizer:
+    """Adam with first-moment decay ``spec.momentum``."""
+    BETA2 = 0.999
+    EPS = 1e-8
+
     def __init__(self, params: list[Tensor], spec: OptimizerSpec):
         self.params = params
         self.spec = spec
@@ -235,7 +265,7 @@ class AdamOptimizer:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1, b2, eps = self.spec.beta1, self.spec.beta2, self.spec.eps
+        b1, b2, eps = self.spec.momentum, self.BETA2, self.EPS
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         for i, p in enumerate(self.params):
@@ -372,8 +402,7 @@ class Trainer:
                         self.model, xb, scale, self.scale_rng,
                         bn_training=bn_training)
                     loss = softmax_cross_entropy(logits, yb)
-                    breakdown = LossBreakdown(loss.item(), loss.item(),
-                                              0.0, cfg.beta)
+                    breakdown = LossBreakdown(loss.item(), loss.item(), 0.0)
                     usage = float(kept.sum())
                 else:
                     modes = sample_gate_modes(cfg.p, self.model.num_blocks,
@@ -442,7 +471,6 @@ class Trainer:
             ckpt = os.path.join(self.out_dir, "model.ckpt")
             save_checkpoint(ckpt, self.model,
                             train_state={"epoch": self._epoch})
-            self.report.checkpoint_path = ckpt
             self.report.summary["checkpoint"] = ckpt
             self.report.write_csv(os.path.join(self.out_dir, "epochs.csv"))
             self.report.write_summary(

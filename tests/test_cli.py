@@ -25,6 +25,13 @@ from resizenet.model import GatedResNet, ModelSpec
 SMALL_MODEL = {"stage_blocks": [2], "channels": [8], "num_classes": 4}
 SMALL_DATASET = {"kind": "synthetic", "m": 64, "val_m": 32,
                  "classes": 4, "image_size": 8, "seed": 5}
+# a two-record file that test_malformed_config_shape_is_usage_error writes
+# into its working directory
+CIFAR_DATASET = {"kind": "cifar10", "train_path": "cifar.bin",
+                 "test_path": "cifar.bin"}
+# one short epoch, so a malformed case that slips through trains briefly
+SHORT_TRAIN = {"epochs_total": 1, "epochs_gate_only": 0, "batch_size": 32}
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.fixture()
@@ -35,7 +42,6 @@ def run_config(tmp_path):
                   "batch_size": 32, "seed": 1},
         "dataset": SMALL_DATASET,
         "out_dir": str(tmp_path / "run"),
-        "seed": 1,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -219,13 +225,54 @@ class TestTrainCommand:
         ("dataset", {**SMALL_DATASET, "m": "x"}, ["dataset"]),
         ("dataset", {**SMALL_DATASET, "sigma": 0.5}, ["sigma"]),
         ("dataset", {**SMALL_DATASET, "noise_sigma": 1e308}, ["overflow"]),
+        ("train", {**SHORT_TRAIN, "scale_range": None,
+                   "scale_fixed": {"scale": 0.6, "anneal_epochs": NAN}},
+         ["anneal_epochs"]),
+        ("train", {**SHORT_TRAIN, "gate_lr_scale": NAN}, ["gate_lr_scale"]),
+        ("train", {**SHORT_TRAIN, "beta": NAN}, ["beta"]),
+        ("train", {**SHORT_TRAIN, "lr_schedule": [[0, INF]]},
+         ["lr_schedule"]),
+        ("train", {**SHORT_TRAIN, "batch_size": 16.5}, ["batch_size"]),
+        ("train", {**SHORT_TRAIN, "epochs_total": 1.5}, ["epochs_total"]),
+        ("train", {**SHORT_TRAIN, "seed": 1.5}, ["seed"]),
+        ("train", {**SHORT_TRAIN, "lr_schedule": [["0", "0.01"]]},
+         ["lr_schedule"]),
+        ("train", {**SHORT_TRAIN, "epochs_total": True}, ["epochs_total"]),
+        ("train", {**SHORT_TRAIN, "scale_range": None,
+                   "scale_fixed": {"scale": 0.6, "sigma": NAN}}, ["sigma"]),
+        ("train", {**SHORT_TRAIN, "optimizer": {"kind": "adam",
+                                                "momentum": 1.0}},
+         ["momentum"]),
+        ("train", {**SHORT_TRAIN, "optimizer": {"kind": "sgd",
+                                                "weight_decay": INF}},
+         ["weight_decay"]),
+        ("train", {**SHORT_TRAIN, "optimizer": None}, ["optimizer"]),
+        ("train", {**SHORT_TRAIN, "optimizer": {"beta1": 0.5}}, ["beta1"]),
+        ("seed", 1, ["seed"]),
+        ("dataset", {**SMALL_DATASET, "noise_sigma": NAN}, ["noise_sigma"]),
+        ("dataset", {**SMALL_DATASET, "template_scale": INF},
+         ["template_scale"]),
+        ("dataset", {**CIFAR_DATASET, "stds": [0, 1, 1]}, ["stds"]),
+        ("dataset", {**CIFAR_DATASET, "stds": [NAN, 1, 1]}, ["stds"]),
+        ("dataset", {**CIFAR_DATASET, "means": [NAN, 0, 0]}, ["means"]),
+        ("dataset", {**CIFAR_DATASET, "means": 0.5}, ["means"]),
     ], ids=["train_list", "lr_schedule_empty", "zero_epochs",
             "adam_weight_decay", "scale_fixed_and_range", "synthetic_m_zero",
             "synthetic_classes_null", "synthetic_image_size_list",
             "synthetic_m_string", "synthetic_unknown_key",
-            "synthetic_noise_overflow"])
+            "synthetic_noise_overflow", "anneal_epochs_nan",
+            "gate_lr_scale_nan", "beta_nan", "lr_infinite",
+            "batch_size_float", "epochs_total_float", "seed_float",
+            "lr_schedule_strings", "epochs_total_bool", "sigma_nan",
+            "adam_momentum_one", "weight_decay_infinite", "optimizer_null",
+            "optimizer_beta1", "top_level_seed", "synthetic_noise_nan",
+            "synthetic_template_scale_infinite", "cifar_stds_zero",
+            "cifar_stds_nan", "cifar_means_nan", "cifar_means_scalar"])
     def test_malformed_config_shape_is_usage_error(self, run_config, section,
-                                                   value, words, capsys):
+                                                   value, words, capsys,
+                                                   monkeypatch):
+        monkeypatch.chdir(run_config.parent)
+        pathlib.Path("cifar.bin").write_bytes(bytes(2 * 3073))
         cfg = json.loads(run_config.read_text())
         run_config.write_text(json.dumps({**cfg, section: value}))
         assert main(["train", "--config", str(run_config)]) == EXIT_USAGE

@@ -1,8 +1,10 @@
 """Property tests on the two loaders that read files from outside the
 program: every malformed input must raise the loader's own error type and
 make the command line exit with the data-error code, never a traceback.
-A malformed synthetic dataset section must raise ConfigError (exit 1)."""
+A malformed synthetic dataset section or train section must raise
+ConfigError (exit 1)."""
 
+import dataclasses
 import json
 import struct
 
@@ -17,6 +19,7 @@ from resizenet.cli import (  # noqa: E402
     ConfigError,
     load_dataset_spec,
     main,
+    parse_train_config,
 )
 from resizenet.data import (  # noqa: E402
     CheckpointError,
@@ -26,6 +29,7 @@ from resizenet.data import (  # noqa: E402
     save_checkpoint,
 )
 from resizenet.model import GatedResNet, ModelSpec  # noqa: E402
+from resizenet.training import TrainConfig  # noqa: E402
 
 # fixed example sequence, no example database: tier-1 stays deterministic
 FUZZ = settings(derandomize=True, database=None, deadline=None,
@@ -43,11 +47,21 @@ def json_values(*scalars):
         max_leaves=6)
 
 
-JSON_VALUES = json_values(
-    st.integers(), TEXT, st.floats(allow_nan=False, allow_infinity=False))
+# Python's json reads and writes NaN and Infinity, so the floats include
+# them; a bare float leads the section strategies because the recursive
+# ones draw few top-level numbers
+FLOATS = st.floats()
+JSON_VALUES = json_values(st.integers(), TEXT, FLOATS)
 # a size key's numbers stay small, so no draw allocates much memory
 SIZE_VALUES = json_values(st.integers(-2, 16), TEXT)
 SIZE_KEYS = ("m", "val_m", "classes", "image_size")
+SECTION_VALUES = FLOATS | JSON_VALUES
+TRAIN_VALUES = FLOATS | json_values(st.integers(-2, 16), TEXT, FLOATS)
+# every train key, and the numbers of the nested sections
+TRAIN_KEYS = (*(f.name for f in dataclasses.fields(TrainConfig)),
+              "optimizer.momentum", "optimizer.weight_decay",
+              "scale_fixed.scale", "scale_fixed.sigma",
+              "scale_fixed.anneal_epochs")
 
 DATASET = {"kind": "synthetic", "m": 8, "val_m": 8, "classes": 3,
            "image_size": 8, "seed": 0}
@@ -168,9 +182,32 @@ class TestSyntheticSectionFuzz:
     @FUZZ
     @given(data=st.data())
     def test_one_key_value(self, data, key):
-        value = data.draw(SIZE_VALUES if key in SIZE_KEYS else JSON_VALUES)
+        value = data.draw(SIZE_VALUES if key in SIZE_KEYS
+                          else SECTION_VALUES)
         for split in ("train", "val"):
             try:
-                load_dataset_spec({**DATASET, key: value}, split)
+                ds = load_dataset_spec({**DATASET, key: value}, split)
             except ConfigError:
-                pass
+                continue
+            assert np.isfinite(ds.images).all()
+
+
+class TestTrainSectionFuzz:
+    @pytest.mark.parametrize("key", TRAIN_KEYS)
+    @FUZZ
+    @given(value=TRAIN_VALUES)
+    def test_one_key_value(self, key, value):
+        outer, _, inner = key.partition(".")
+        if outer == "scale_fixed":
+            section = {"scale_range": None,
+                       "scale_fixed": {"scale": 0.5, inner: value}}
+        elif outer == "optimizer":
+            section = {"optimizer": {"kind": "sgd", inner: value}}
+        else:
+            section = {key: value}
+        try:
+            cfg = parse_train_config(section)
+        except ConfigError:
+            return
+        # a setting that passes holds finite numbers only
+        json.dumps(dataclasses.asdict(cfg), allow_nan=False)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from resizenet.model import GateRecord
-from resizenet.objective import LossBreakdown, scale_loss, total_loss
+from resizenet.objective import scale_loss, total_loss
 from resizenet.tensor import Tensor, softmax_cross_entropy
 
 
@@ -179,9 +179,3 @@ class TestTotalLoss:
             step = np.mean([t.grad.mean() for t in record.gate_tensors])
             moved = start - 0.5 * step
             assert abs(moved - s) < abs(start - s)
-
-
-class TestLossBreakdown:
-    def test_fields_roundtrip(self):
-        bd = LossBreakdown(total=1.5, classification=1.0, scale=0.25, beta=2.0)
-        assert bd.total == bd.classification + bd.beta * bd.scale

@@ -137,6 +137,16 @@ class TestOptimizers:
         np.testing.assert_allclose(p.data, [5.0 - 0.001, 5.0 + 0.001],
                                    rtol=1e-6)
 
+    def test_adam_first_moment_decay_is_momentum(self):
+        # with no first-moment memory, a step of +1 then one of -1 undoes
+        # the first: each bias-corrected step is lr * g/|g|
+        p = Tensor([1.0], requires_grad=True)
+        opt = AdamOptimizer([p], OptimizerSpec(kind="adam", momentum=0.0))
+        for g in (1.0, -1.0):
+            p.grad = np.array([g])
+            opt.step(0.1)
+        assert p.data[0] == pytest.approx(1.0, abs=1e-7)
+
     def test_adam_skips_missing_grads(self):
         p = Tensor([1.0], requires_grad=True)
         AdamOptimizer([p], OptimizerSpec(kind="adam")).step(0.1)
@@ -165,6 +175,14 @@ class TestTrainConfig:
         # a run with no epochs has no final row to report
         with pytest.raises(ValueError, match="epochs_total"):
             TrainConfig(epochs_total=0, epochs_gate_only=0)
+
+    def test_scale_fixed_excludes_scale_range(self):
+        with pytest.raises(ValueError) as exc:
+            TrainConfig(scale_fixed=FixedScaleConfig(0.5))
+        assert "scale_fixed" in str(exc.value)
+        assert "scale_range" in str(exc.value)
+        cfg = TrainConfig(scale_fixed=FixedScaleConfig(0.5), scale_range=None)
+        assert cfg.scale_fixed.scale == 0.5
 
     def test_random_drop_needs_a_scale_source(self):
         # the random-drop baseline draws its keep rate from the scale too
