@@ -38,7 +38,7 @@ from .metrics import (
     write_calibration_json,
     write_usage_map_csv,
 )
-from .model import GatedResNet, GateMode, ModelSpec
+from .model import GatedResNet, GateMode, ModelSpec, check_number
 from .tensor import NonFiniteError
 from .training import (
     DivergenceError,
@@ -88,11 +88,11 @@ def parse_train_config(obj: dict) -> TrainConfig:
                 _check_keys(obj[key], {f.name for f in fields(cls)},
                             f"train.{key}")
                 obj[key] = cls(**obj[key])
-        if obj.get("scale_range") is not None:
+        if isinstance(obj.get("scale_range"), list):
             obj["scale_range"] = tuple(obj["scale_range"])
-        if "lr_schedule" in obj:
-            obj["lr_schedule"] = tuple(tuple(entry)
-                                       for entry in obj["lr_schedule"])
+        if isinstance(obj.get("lr_schedule"), list):
+            obj["lr_schedule"] = tuple(tuple(e) if isinstance(e, list) else e
+                                       for e in obj["lr_schedule"])
         return TrainConfig(**obj)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad train config: {exc}") from exc
@@ -183,13 +183,9 @@ def cmd_train(args) -> int:
 
 
 def _parse_grid(values) -> list[float]:
-    grid = [float(v) for v in values]
-    if not grid:
-        raise ConfigError("scale grid is empty")
+    grid = [check_number("scale grid value", float(v), 0, 1) for v in values]
     if grid != sorted(grid):
         raise ConfigError("scale grid must be ascending")
-    if any(not 0.0 <= s <= 1.0 for s in grid):
-        raise ConfigError("scale grid values must lie in [0, 1]")
     return grid
 
 

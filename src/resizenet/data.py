@@ -13,8 +13,6 @@ the header.
 from __future__ import annotations
 
 import json
-import math
-import operator
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -23,7 +21,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .metrics import FlopsModel
-from .model import GatedResNet, ModelSpec
+from .model import GatedResNet, ModelSpec, check_number
 
 CHECKPOINT_VERSION = 1
 
@@ -93,15 +91,15 @@ def make_synthetic(m: int, classes: int = 4, image_size: int = 8,
     generator of that seed: unseen samples of the training task.
     Templates travel in ``meta`` for oracle checks.
     """
-    if m < 1 or classes < 2 or split not in ("train", "val"):
-        raise ValueError(f"need m >= 1, classes >= 2 and split train or "
-                         f"val, got {m}, {classes}, {split!r}")
-    h, noise_sigma = image_size, float(noise_sigma)
-    template_scale = float(template_scale)
-    if not (math.isfinite(noise_sigma) and math.isfinite(template_scale)):
-        raise ValueError(f"noise_sigma and template_scale must be finite, "
-                         f"got {noise_sigma}, {template_scale}")
-    rng = np.random.default_rng(operator.index(seed))  # None would be unseeded
+    for name, value, low in (("m", m, 1), ("classes", classes, 2),
+                             ("image_size", image_size, 1), ("seed", seed, 0)):
+        check_number(name, value, low, integer=True)
+    if split not in ("train", "val"):
+        raise ValueError(f"split must be train or val, got {split!r}")
+    noise_sigma = float(check_number("noise_sigma", noise_sigma))
+    template_scale = float(check_number("template_scale", template_scale))
+    h = image_size
+    rng = np.random.default_rng(seed)
     factor = 2 if h % 2 == 0 else 1
     coarse = rng.standard_normal((classes, 3, h // factor, h // factor))
     templates = np.repeat(np.repeat(coarse, factor, axis=2), factor,
@@ -116,8 +114,7 @@ def make_synthetic(m: int, classes: int = 4, image_size: int = 8,
                          "template_scale": template_scale, "seed": seed})
 
 
-def load_cifar_binary(path, *, num_classes: int | None = None,
-                      record_format: str = "cifar10",
+def load_cifar_binary(path, *, record_format: str = "cifar10",
                       means: tuple = CIFAR10_MEANS,
                       stds: tuple = CIFAR10_STDS,
                       split: str = "train",
@@ -126,14 +123,13 @@ def load_cifar_binary(path, *, num_classes: int | None = None,
 
     Pixels are scaled to [0,1] and then normalized per channel by the given
     mean/std.  ``record_format="cifar100"`` reads the 3074-byte variant
-    (coarse label byte + fine label byte) and keeps the fine label;
-    ``num_classes`` defaults to the format's 10 or 100.
+    (coarse label byte + fine label byte) and keeps the fine label; the
+    class count follows the format: 10 or 100.
     """
-    label_bytes, classes = {"cifar10": (1, 10), "cifar100": (2, 100)}.get(
+    label_bytes, num_classes = {"cifar10": (1, 10), "cifar100": (2, 100)}.get(
         record_format, (None, None))
     if label_bytes is None:
         raise ValueError(f"unknown record format {record_format!r}")
-    num_classes = classes if num_classes is None else num_classes
     record = label_bytes + 3072
     means_arr = np.asarray(means, dtype=np.float64)
     stds_arr = np.asarray(stds, dtype=np.float64)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -36,6 +37,8 @@ from .tensor import (
     take_rows,
 )
 
+_FLOAT_MAX = sys.float_info.max
+
 
 class GateMode(Enum):
     """Gate nonlinearity used for one block in one forward pass."""
@@ -43,11 +46,27 @@ class GateMode(Enum):
     BINARY = "binary"
 
 
+def check_number(name: str, value, low=None, high=None, *,
+                 integer: bool = False):
+    """``value`` if it is a finite number, or with ``integer`` an integer,
+    in [low, high], where a bound left at None is open; otherwise an error
+    naming ``name``: TypeError for a wrong type, ValueError for a bad number.
+    A bool is not a number, nor is a real beyond the float range finite."""
+    wrong_type = isinstance(value, bool) or not isinstance(
+        value, numbers.Integral if integer else numbers.Real)
+    if wrong_type or not integer and not -_FLOAT_MAX <= value <= _FLOAT_MAX \
+            or low is not None and value < low \
+            or high is not None and value > high:
+        kind = "an integer" if integer else "a finite number"
+        bound = f" in [{low}, {high}]" if high is not None else \
+            "" if low is None else f" >= {low}"
+        raise (TypeError if wrong_type else ValueError)(
+            f"{name} must be {kind}{bound}, got {value!r}")
+    return value
+
+
 def _check_scale(scale: float) -> float:
-    scale = float(scale)
-    if not 0.0 <= scale <= 1.0:
-        raise ValueError(f"scale must lie in [0, 1], got {scale}")
-    return scale
+    return float(check_number("scale", scale, 0, 1))
 
 
 def gate_hidden_width(c_in: int, reduction: int) -> int:
@@ -71,16 +90,11 @@ class ModelSpec:
         if not self.stage_blocks or \
                 len(self.stage_blocks) != len(self.channels):
             raise ValueError("stage_blocks and channels must pair up")
-        for name, values in (("stage_blocks", self.stage_blocks),
-                             ("channels", self.channels),
-                             ("num_classes", [self.num_classes]),
-                             ("in_channels", [self.in_channels]),
-                             ("reduction", [self.reduction])):
-            for v in values:
-                if isinstance(v, bool) or \
-                        not isinstance(v, numbers.Integral) or v < 1:
-                    raise ValueError(
-                        f"{name} must hold integers >= 1, got {v!r}")
+        for name in ("stage_blocks", "channels"):
+            for v in getattr(self, name):
+                check_number(name, v, 1, integer=True)
+        for name in ("num_classes", "in_channels", "reduction"):
+            check_number(name, getattr(self, name), 1, integer=True)
         if not isinstance(self.use_feature_input, bool):
             raise ValueError("use_feature_input must be true or false")
 
@@ -225,8 +239,7 @@ def gate_activation(z: Tensor, mode: GateMode) -> Tensor:
 def sample_gate_modes(p: float, n: int,
                       rng: np.random.Generator) -> list[GateMode]:
     """Draw n independent modes: sigmoid with probability p, else binary."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    check_number("p", p, 0, 1)
     draws = rng.random(n) < p
     return [GateMode.SIGMOID if d else GateMode.BINARY for d in draws]
 

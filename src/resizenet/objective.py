@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GateRecord, _check_scale
+from .model import GateRecord, _check_scale, check_number
 from .tensor import (
     Tensor,
     add,
@@ -47,8 +47,7 @@ def scale_loss(record: GateRecord, scale: float) -> Tensor:
 def total_loss(logits: Tensor, labels: np.ndarray, record: GateRecord,
                scale: float, beta: float) -> tuple[Tensor, LossBreakdown]:
     """Joint objective L = L_classification + beta * L_scale."""
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    check_number("beta", beta, 0)
     l_cls = softmax_cross_entropy(logits, labels)
     l_scale = scale_loss(record, scale)
     total = add(l_cls, mul_scalar(l_scale, beta))

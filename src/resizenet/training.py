@@ -11,16 +11,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, augment_batch, save_checkpoint
 from .metrics import evaluate
-from .model import GatedResNet, GateMode, random_drop_forward, sample_gate_modes
+from .model import (GatedResNet, check_number, random_drop_forward,
+                    sample_gate_modes)
 from .objective import LossBreakdown, total_loss
 from .tensor import NonFiniteError, Tensor, softmax_cross_entropy
 
@@ -29,17 +28,17 @@ class DivergenceError(RuntimeError):
     """Training loss became non-finite."""
 
 
-def _check_number(name: str, value, low=None, *, integer=False) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a finite number,
-    or with ``integer`` an integer, and at least ``low`` when given.  A bool
-    is neither, as in ModelSpec; a real beyond the float range is not
-    finite."""
-    ok = isinstance(value, numbers.Integral) if integer else \
-        isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
-    if isinstance(value, bool) or not ok or low is not None and value < low:
-        kind = "an integer" if integer else "a finite number"
-        bound = "" if low is None else f" >= {low}"
-        raise ValueError(f"{name} must be {kind}{bound}, got {value!r}")
+def _check_pair(name: str, value) -> tuple | list:
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise TypeError(f"{name} must be a pair, got {value!r}")
+    return value
+
+
+def _check_scale_range(scale_range) -> tuple[float, float]:
+    lo, hi = _check_pair("scale_range", scale_range)
+    check_number("scale_range low end", lo, 0, 1)
+    check_number("scale_range high end", hi, lo, 1)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -52,10 +51,9 @@ class FixedScaleConfig:
     anneal_epochs: int = 5
 
     def __post_init__(self):
-        if not 0.0 <= self.scale <= 1.0:
-            raise ValueError("fixed scale must lie in [0, 1]")
-        _check_number("sigma", self.sigma, 0)
-        _check_number("anneal_epochs", self.anneal_epochs, 0, integer=True)
+        check_number("scale", self.scale, 0, 1)
+        check_number("sigma", self.sigma, 0)
+        check_number("anneal_epochs", self.anneal_epochs, 0, integer=True)
 
 
 @dataclass(frozen=True)
@@ -69,10 +67,10 @@ class OptimizerSpec:
     def __post_init__(self):
         if self.kind not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer kind {self.kind!r}")
-        # Adam's bias correction divides by 1 - momentum**t
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must satisfy 0 <= momentum < 1")
-        _check_number("weight_decay", self.weight_decay, 0)
+        check_number("momentum", self.momentum, 0, 1)
+        if self.momentum == 1:  # Adam's bias correction divides by 1 - m**t
+            raise ValueError("momentum must be below 1")
+        check_number("weight_decay", self.weight_decay, 0)
         if self.kind == "adam" and self.weight_decay:
             raise ValueError("weight_decay applies to sgd only; adam "
                              "would ignore it")
@@ -102,38 +100,37 @@ class TrainConfig:
     gate_lr_scale: float = 1.0       # lr multiplier for gate-module params
 
     def __post_init__(self):
-        _check_number("beta", self.beta, 0)
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0, 1]")
+        check_number("beta", self.beta, 0)
+        check_number("p", self.p, 0, 1)
         if (self.scale_range is None) == (self.scale_fixed is None):
             raise ValueError("set exactly one of scale_range and "
                              "scale_fixed; a fixed-scale run has no "
                              "scale_range")
         if self.scale_range is not None:
-            lo, hi = self.scale_range
-            if not 0.0 <= lo <= hi <= 1.0:
-                raise ValueError("scale_range must satisfy 0 <= lo <= hi <= 1")
-        _check_number("epochs_total", self.epochs_total, 1, integer=True)
-        _check_number("epochs_gate_only", self.epochs_gate_only, 0,
-                      integer=True)
+            _check_scale_range(self.scale_range)
+        check_number("epochs_total", self.epochs_total, 1, integer=True)
+        check_number("epochs_gate_only", self.epochs_gate_only, 0,
+                     integer=True)
         if self.epochs_gate_only > self.epochs_total:
             raise ValueError("epochs_gate_only must not exceed epochs_total")
         if not isinstance(self.optimizer, OptimizerSpec):
             raise ValueError(f"optimizer must be an OptimizerSpec, got "
                              f"{self.optimizer!r}")
-        if not self.lr_schedule:
-            raise ValueError("lr_schedule needs an (epoch, lr) entry")
-        for epoch, lr in self.lr_schedule:
-            _check_number("lr_schedule epoch", epoch, 0, integer=True)
-            _check_number("lr_schedule lr", lr, 0)
-        _check_number("batch_size", self.batch_size, 1, integer=True)
-        _check_number("seed", self.seed, 0, integer=True)
+        if not isinstance(self.lr_schedule, (tuple, list)) or \
+                not self.lr_schedule:
+            raise ValueError("lr_schedule needs (epoch, lr) entries")
+        for entry in self.lr_schedule:
+            epoch, lr = _check_pair("lr_schedule entry", entry)
+            check_number("lr_schedule epoch", epoch, 0, integer=True)
+            check_number("lr_schedule lr", lr, 0)
+        check_number("batch_size", self.batch_size, 1, integer=True)
+        check_number("seed", self.seed, 0, integer=True)
         if self.baseline_mode not in ("none", "random_drop"):
             raise ValueError(f"unknown baseline_mode {self.baseline_mode!r}")
         if self.baseline_mode == "random_drop" and self.epochs_gate_only:
             raise ValueError("the random_drop baseline trains no gates, so "
                              "epochs_gate_only must be 0")
-        _check_number("gate_lr_scale", self.gate_lr_scale)
+        check_number("gate_lr_scale", self.gate_lr_scale)
         if self.gate_lr_scale <= 0:
             raise ValueError("gate_lr_scale must be > 0")
 
@@ -203,9 +200,7 @@ def usage_slope(scales, usages) -> float:
 def sample_scale(scale_range: tuple[float, float],
                  rng: np.random.Generator) -> float:
     """One uniform draw from [lo, hi]."""
-    lo, hi = scale_range
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise ValueError("scale range must satisfy 0 <= lo <= hi <= 1")
+    lo, hi = _check_scale_range(scale_range)
     return float(rng.uniform(lo, hi)) if hi > lo else float(lo)
 
 

@@ -256,6 +256,23 @@ class TestTrainCommand:
         ("dataset", {**CIFAR_DATASET, "stds": [NAN, 1, 1]}, ["stds"]),
         ("dataset", {**CIFAR_DATASET, "means": [NAN, 0, 0]}, ["means"]),
         ("dataset", {**CIFAR_DATASET, "means": 0.5}, ["means"]),
+        ("train", {**SHORT_TRAIN, "p": True}, ["p must"]),
+        ("train", {**SHORT_TRAIN, "optimizer": {"kind": "sgd",
+                                                "momentum": False}},
+         ["momentum"]),
+        ("train", {**SHORT_TRAIN, "scale_range": None,
+                   "scale_fixed": {"scale": True}}, ["scale must"]),
+        ("train", {**SHORT_TRAIN, "scale_range": [False, True]},
+         ["scale_range"]),
+        ("train", {**SHORT_TRAIN, "scale_range": [0.2, 0.6, 1.0]},
+         ["scale_range"]),
+        ("train", {**SHORT_TRAIN, "scale_range": 0.5}, ["scale_range"]),
+        ("train", {**SHORT_TRAIN, "lr_schedule": [[0, 0.01, 5]]},
+         ["lr_schedule"]),
+        ("train", {**SHORT_TRAIN, "lr_schedule": [0.1]}, ["lr_schedule"]),
+        ("dataset", {**SMALL_DATASET, "image_size": 0},
+         ["dataset", "image_size"]),
+        ("dataset", {**CIFAR_DATASET, "num_classes": 10}, ["num_classes"]),
     ], ids=["train_list", "lr_schedule_empty", "zero_epochs",
             "adam_weight_decay", "scale_fixed_and_range", "synthetic_m_zero",
             "synthetic_classes_null", "synthetic_image_size_list",
@@ -267,7 +284,11 @@ class TestTrainCommand:
             "adam_momentum_one", "weight_decay_infinite", "optimizer_null",
             "optimizer_beta1", "top_level_seed", "synthetic_noise_nan",
             "synthetic_template_scale_infinite", "cifar_stds_zero",
-            "cifar_stds_nan", "cifar_means_nan", "cifar_means_scalar"])
+            "cifar_stds_nan", "cifar_means_nan", "cifar_means_scalar",
+            "p_true", "momentum_false", "scale_fixed_scale_true",
+            "scale_range_bools", "scale_range_three", "scale_range_scalar",
+            "lr_schedule_triple", "lr_schedule_scalar",
+            "synthetic_image_size_zero", "cifar_num_classes"])
     def test_malformed_config_shape_is_usage_error(self, run_config, section,
                                                    value, words, capsys,
                                                    monkeypatch):

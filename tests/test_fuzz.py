@@ -77,6 +77,15 @@ def workdir(tmp_path_factory):
     return d
 
 
+def _leaves(value) -> list:
+    """The scalars inside nested dicts, lists and tuples."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [value]
+
+
 def _split(blob: bytes) -> tuple[dict, bytes]:
     (n,) = struct.unpack("<Q", blob[:8])
     return json.loads(blob[8:8 + n]), blob[8 + n:]
@@ -162,8 +171,7 @@ class TestCifarBinaryFuzz:
                     blob[r * record + j] = labels[2 * r + j]
         path = _write(workdir, bytes(blob))
         try:
-            ds = load_cifar_binary(path, num_classes=num_classes,
-                                   record_format=record_format)
+            ds = load_cifar_binary(path, record_format=record_format)
         except DatasetFormatError:
             spec = {"kind": record_format, "test_path": str(path)}
             code = main(["eval", "--checkpoint",
@@ -173,7 +181,7 @@ class TestCifarBinaryFuzz:
             assert code == EXIT_DATA
         else:
             assert len(blob) == len(ds) * record > 0
-            assert ds.labels.max() < num_classes
+            assert ds.labels.max() < ds.num_classes == num_classes
 
 
 class TestSyntheticSectionFuzz:
@@ -189,7 +197,7 @@ class TestSyntheticSectionFuzz:
                 ds = load_dataset_spec({**DATASET, key: value}, split)
             except ConfigError:
                 continue
-            assert np.isfinite(ds.images).all()
+            assert ds.images.size > 0 and np.isfinite(ds.images).all()
 
 
 class TestTrainSectionFuzz:
@@ -209,5 +217,7 @@ class TestTrainSectionFuzz:
             cfg = parse_train_config(section)
         except ConfigError:
             return
-        # a setting that passes holds finite numbers only
+        # a setting that passes holds finite numbers only, and no bool
         json.dumps(dataclasses.asdict(cfg), allow_nan=False)
+        assert not any(isinstance(leaf, bool)
+                       for leaf in _leaves(dataclasses.asdict(cfg)))

@@ -16,6 +16,7 @@ from resizenet.model import (
     ModelSpec,
     _residual_branch,
     _shortcut,
+    check_number,
     gate_activation,
     gate_forward,
     gated_block_forward,
@@ -96,6 +97,28 @@ def zero_gate_params(c, reduction=2):
     for t in (gp.w1, gp.b1, gp.w2, gp.b2):
         t.data[...] = 0.0
     return gp
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value,kwargs,error", [
+        (True, {}, TypeError),
+        ("0.5", {}, TypeError),
+        (2.0, {"integer": True}, TypeError),
+        (float("nan"), {}, ValueError),
+        (10 ** 400, {}, ValueError),
+        (-0.5, {"low": 0}, ValueError),
+        (1.5, {"low": 0, "high": 1}, ValueError),
+    ], ids=["bool", "string", "float_for_integer", "nan", "beyond_float",
+            "below_low", "above_high"])
+    def test_rejected_value_names_the_setting(self, value, kwargs, error):
+        with pytest.raises(error, match="knob"):
+            check_number("knob", value, **kwargs)
+
+    def test_bounds_are_inclusive_and_value_passes_through(self):
+        assert check_number("knob", 0, 0, 1) == 0
+        assert check_number("knob", 1.0, 0, 1) == 1.0
+        assert check_number("knob", np.int64(3), 3, integer=True) == 3
+        assert check_number("knob", 10 ** 400, integer=True) == 10 ** 400
 
 
 class TestGateActivation:
