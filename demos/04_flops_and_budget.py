@@ -1,28 +1,31 @@
-"""Compute accounting: per-layer MAC counts, the fixed-vs-skippable cost
-split, and resolving a compute budget back to a scale setting."""
+"""Compute accounting: the MAC terms of one network layout, the
+fixed-vs-skippable cost split, and resolving a compute budget back to a
+scale setting."""
 
 import numpy as np
 
-from resizenet.metrics import (
-    ConvLayer, FlopsModel, LinearLayer, budget_to_scale, count_macs,
-)
+from resizenet.metrics import FlopsModel, budget_to_scale
 from resizenet.model import ModelSpec
 from resizenet.training import FixedScaleConfig, annealed_scale_base
 
-print("== MAC counting convention ==")
-layers = [
-    ("3x3 conv, 16->16ch at 32x32", ConvLayer(16, 16, 3, 32, 32)),
-    ("1x1 projection, 16->32 at 4x4", ConvLayer(16, 32, 1, 4, 4)),
-    ("classifier head, 64->10", LinearLayer(64, 10)),
-]
-for name, layer in layers:
-    print(f"{name:35s} {count_macs(layer):>12,} MACs")
-print("(normalization, activations, pooling: zero under this convention)")
-
-print("\n== cost model of the 12-block demo architecture ==")
 spec = ModelSpec(stage_blocks=(4, 4, 4), channels=(16, 32, 64),
                  num_classes=4)
 fm = FlopsModel.for_model(spec, (8, 8))
+
+print("== MAC counting convention ==")
+print("Cin*Cout*k^2*Hout*Wout per conv, Din*Dout per affine map")
+terms = [
+    ("stem: 3x3 conv, 3->16ch at 8x8", fm.stem_macs),
+    ("head: affine, 64->4", fm.head_macs),
+    ("block 0 branch: two 3x3 convs, 16ch", fm.block_macs[0]),
+    ("block 4 shortcut: 1x1 conv, 16->32 at 4x4", fm.proj_macs[4]),
+    ("block 0 gate: affine 17->9, then 9->1", fm.gate_macs[0]),
+]
+for name, macs in terms:
+    print(f"{name:42s} {macs:>10,} MACs")
+print("(normalization, activations, pooling: zero under this convention)")
+
+print("\n== cost model of the 12-block demo architecture ==")
 print(f"fixed (stem+head+shortcuts+gates): {fm.fixed_macs:>12,}")
 print(f"skippable residual branches      : {sum(fm.block_macs):>12,}")
 print(f"total, all gates open            : {fm.total_macs:>12,}")

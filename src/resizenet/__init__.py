@@ -14,12 +14,9 @@ from .data import (
     save_checkpoint,
 )
 from .metrics import (
-    ConvLayer,
     FlopsModel,
-    LinearLayer,
     UsageStats,
     budget_to_scale,
-    count_macs,
     evaluate,
 )
 from .model import (
@@ -47,11 +44,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "load_checkpoint", "load_cifar_binary", "make_synthetic",
-    "save_checkpoint", "ConvLayer", "FlopsModel", "LinearLayer",
-    "UsageStats", "budget_to_scale", "count_macs", "evaluate",
-    "GateMode", "GateRecord", "GatedResNet", "ModelSpec", "gate_activation",
-    "random_drop_forward", "sample_gate_modes", "LossBreakdown",
-    "scale_loss", "total_loss", "Tensor", "backward", "grad_check",
-    "FixedScaleConfig", "OptimizerSpec", "TrainConfig", "Trainer",
-    "TrainReport", "annealed_scale", "sample_scale",
+    "save_checkpoint", "FlopsModel", "UsageStats", "budget_to_scale",
+    "evaluate", "GateMode", "GateRecord", "GatedResNet", "ModelSpec",
+    "gate_activation", "random_drop_forward", "sample_gate_modes",
+    "LossBreakdown", "scale_loss", "total_loss", "Tensor", "backward",
+    "grad_check", "FixedScaleConfig", "OptimizerSpec", "TrainConfig",
+    "Trainer", "TrainReport", "annealed_scale", "sample_scale",
 ]

@@ -108,7 +108,11 @@ def load_dataset_spec(obj: dict, split: str = "train") -> Dataset:
     kind = kwargs.pop("kind", None)
     try:
         if kind == "synthetic":
-            m, val_m = kwargs.pop("m", 512), kwargs.pop("val_m", None)
+            # both sizes are checked on either split, under their own names
+            m = check_number("m", kwargs.pop("m", 512), 1, integer=True)
+            val_m = kwargs.pop("val_m", None)
+            if val_m is not None:
+                check_number("val_m", val_m, 1, integer=True)
             if split == "val":
                 m = max(1, m // 2) if val_m is None else val_m
             return make_synthetic(m, split=split, **kwargs)

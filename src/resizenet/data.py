@@ -161,10 +161,14 @@ def load_cifar_binary(path, *, record_format: str = "cifar10",
                    augment=augment)
 
 
-def augment_batch(images: np.ndarray, rng: np.random.Generator, *,
-                  pad: int = 4) -> np.ndarray:
+AUGMENT_PAD = 4  # zero border before the random crop, in pixels
+
+
+def augment_batch(images: np.ndarray, rng: np.random.Generator
+                  ) -> np.ndarray:
     """Pad-and-random-crop plus horizontal flip, per sample."""
     b, c, h, w = images.shape
+    pad = AUGMENT_PAD
     padded = np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     out = np.empty_like(images)
     offs = rng.integers(0, 2 * pad + 1, size=(b, 2))

@@ -1,9 +1,7 @@
-"""Compute accounting and evaluation: MAC counts per layer, per-sample
-cost from gate values, block-usage statistics across a scale grid, and the
-inverse map from a compute budget back to a scale setting.
-
-Costs are multiply-accumulate counts of convolutional and linear layers;
-normalization, activations, and pooling count as zero.
+"""Compute accounting and evaluation: the cost model of a network layout
+(``FlopsModel``, which states the MAC convention), per-sample cost from gate
+values, block-usage statistics across a scale grid, and the inverse map from
+a compute budget back to a scale setting.
 """
 from __future__ import annotations
 
@@ -24,38 +22,11 @@ from .tensor import no_grad
 
 
 @dataclass(frozen=True)
-class ConvLayer:
-    cin: int
-    cout: int
-    k: int
-    hout: int
-    wout: int
-
-
-@dataclass(frozen=True)
-class LinearLayer:
-    din: int
-    dout: int
-
-
-def count_macs(layer: ConvLayer | LinearLayer) -> int:
-    """Multiply-accumulates of one layer: Cin*Cout*k^2*Hout*Wout for a
-    convolution, Din*Dout for a linear map."""
-    if isinstance(layer, ConvLayer):
-        return layer.cin * layer.cout * layer.k ** 2 * layer.hout * layer.wout
-    if isinstance(layer, LinearLayer):
-        return layer.din * layer.dout
-    raise TypeError(f"unsupported layer spec: {layer!r}")
-
-
-def _conv_out(size: int, k: int, stride: int, pad: int) -> int:
-    return (size + 2 * pad - k) // stride + 1
-
-
-@dataclass(frozen=True)
 class FlopsModel:
     """Per-sample MAC budget of a gated network at a given input size.
 
+    A conv costs Cin*Cout*k^2*Hout*Wout multiply-accumulates, an affine map
+    Din*Dout; normalization, activations and pooling cost zero.
     ``block_macs`` is the skippable residual-branch cost of each block;
     everything else (stem, head, gate modules, projection shortcuts) always
     runs and lives in the fixed part.
@@ -81,14 +52,10 @@ class FlopsModel:
         return self.fixed_macs + sum(self.block_macs)
 
     @property
-    def backbone_macs(self) -> int:
-        return self.stem_macs + self.head_macs + sum(self.proj_macs) \
-            + sum(self.block_macs)
-
-    @property
     def gate_overhead_ratio(self) -> float:
         """All gate modules relative to the full backbone."""
-        return sum(self.gate_macs) / self.backbone_macs
+        gates = sum(self.gate_macs)
+        return gates / (self.total_macs - gates)
 
     def sample_macs(self, gates: np.ndarray) -> np.ndarray:
         """Per-sample cost from a [B, N] (or [N]) array of gate values."""
@@ -102,24 +69,20 @@ class FlopsModel:
     @classmethod
     def for_model(cls, spec: ModelSpec, input_hw: tuple[int, int]
                   ) -> "FlopsModel":
+        # a 3x3 pad-1 or 1x1 pad-0 conv of stride s maps a side n to ceil(n/s)
         h, w = input_hw
-        h, w = _conv_out(h, 3, 1, 1), _conv_out(w, 3, 1, 1)
-        stem = count_macs(ConvLayer(spec.in_channels, spec.channels[0], 3,
-                                    h, w))
-
+        stem = spec.in_channels * spec.channels[0] * 9 * h * w
         gate_macs, block_macs, proj_macs = [], [], []
         for c_in, c_out, stride, needs_proj in spec.block_shapes():
-            h, w = _conv_out(h, 3, stride, 1), _conv_out(w, 3, stride, 1)
-            block_macs.append(count_macs(ConvLayer(c_in, c_out, 3, h, w))
-                              + count_macs(ConvLayer(c_out, c_out, 3, h, w)))
-            proj_macs.append(count_macs(ConvLayer(c_in, c_out, 1, h, w))
-                             if needs_proj else 0)
-            dh = gate_hidden_width(c_in, spec.reduction)
-            gate_macs.append(count_macs(LinearLayer(c_in + 1, dh))
-                             + count_macs(LinearLayer(dh, 1)))
-
-        head = count_macs(LinearLayer(spec.channels[-1], spec.num_classes))
-        return cls(stem_macs=stem, head_macs=head,
+            h, w = -(-h // stride), -(-w // stride)
+            # branch: 3x3 c_in -> c_out, then 3x3 c_out -> c_out
+            block_macs.append(9 * c_out * (c_in + c_out) * h * w)
+            proj_macs.append(c_in * c_out * h * w if needs_proj else 0)
+            # gate: affine (c_in + 1) -> dh, then dh -> 1
+            gate_macs.append((c_in + 2)
+                             * gate_hidden_width(c_in, spec.reduction))
+        return cls(stem_macs=stem,
+                   head_macs=spec.channels[-1] * spec.num_classes,
                    gate_macs=tuple(gate_macs),
                    block_macs=tuple(block_macs), proj_macs=tuple(proj_macs))
 

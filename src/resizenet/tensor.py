@@ -460,16 +460,16 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
 # -- batch norm -------------------------------------------------------------
 
 BN_EPS = 1e-5  # added to the variance; the eval fold into a conv uses it too
+BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor,
                running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1,
-               eps: float = BN_EPS) -> Tensor:
+               training: bool) -> Tensor:
     """Per-channel batch normalization over the [B*H*W, C] view of [B,H,W,C].
 
     Training mode normalizes by batch statistics and updates the running
-    arrays in place with the given momentum; eval mode normalizes by the
+    arrays in place with ``BN_MOMENTUM``; eval mode normalizes by the
     running statistics (freshly initialized stats are mean 0 / var 1, so an
     untrained eval pass is well defined).  Variances are biased, matching
     the normalization denominator.
@@ -488,15 +488,15 @@ def batch_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor,
         mean = np.einsum("nc->c", xv) / m
         xhat = xv - mean
         var = np.einsum("nc,nc->c", xhat, xhat) / m
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         xhat = xv - running_mean
         var = running_var
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
     out = xhat * gamma.data
     out += beta_shift.data

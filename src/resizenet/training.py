@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -156,13 +156,6 @@ class EpochRow:
     mean_scale: float
     usage_slope: float
 
-    FIELDS = ("epoch", "phase", "lr", "loss_total", "loss_classification",
-              "loss_scale", "train_accuracy", "val_accuracy", "mean_usage",
-              "mean_scale", "usage_slope")
-
-    def as_list(self):
-        return [getattr(self, f) for f in self.FIELDS]
-
 
 @dataclass
 class TrainReport:
@@ -172,11 +165,11 @@ class TrainReport:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(EpochRow.FIELDS)
+            writer.writerow(f.name for f in fields(EpochRow))
             for row in self.rows:
                 # losses are np.float64, whose numpy-2 repr is not a number
                 writer.writerow([repr(float(v)) if isinstance(v, float)
-                                 else v for v in row.as_list()])
+                                 else v for v in astuple(row)])
 
     def write_summary(self, path) -> None:
         with open(path, "w") as fh:

@@ -113,6 +113,14 @@ class TestConfigParsing:
         d2 = ((flat - templates.reshape(1, len(templates), -1)) ** 2).sum(2)
         assert (d2.argmin(axis=1) == val.labels).mean() >= 0.9
 
+    @pytest.mark.parametrize("key,value", [("m", 1.5), ("m", "x"),
+                                           ("val_m", True), ("val_m", 0)])
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_synthetic_sizes_checked_on_both_splits(self, key, value, split):
+        with pytest.raises(ConfigError,
+                           match=f"^bad dataset spec: {key} must"):
+            load_dataset_spec({**SMALL_DATASET, key: value}, split)
+
     def test_train_config_roundtrip(self):
         cfg = parse_train_config({
             "beta": 4.0, "p": 0.5, "scale_range": [0.3, 0.9],
@@ -273,6 +281,7 @@ class TestTrainCommand:
         ("dataset", {**SMALL_DATASET, "image_size": 0},
          ["dataset", "image_size"]),
         ("dataset", {**CIFAR_DATASET, "num_classes": 10}, ["num_classes"]),
+        ("dataset", {**SMALL_DATASET, "val_m": True}, ["val_m"]),
     ], ids=["train_list", "lr_schedule_empty", "zero_epochs",
             "adam_weight_decay", "scale_fixed_and_range", "synthetic_m_zero",
             "synthetic_classes_null", "synthetic_image_size_list",
@@ -288,7 +297,8 @@ class TestTrainCommand:
             "p_true", "momentum_false", "scale_fixed_scale_true",
             "scale_range_bools", "scale_range_three", "scale_range_scalar",
             "lr_schedule_triple", "lr_schedule_scalar",
-            "synthetic_image_size_zero", "cifar_num_classes"])
+            "synthetic_image_size_zero", "cifar_num_classes",
+            "synthetic_val_m_bool"])
     def test_malformed_config_shape_is_usage_error(self, run_config, section,
                                                    value, words, capsys,
                                                    monkeypatch):
