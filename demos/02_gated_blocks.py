@@ -50,7 +50,7 @@ labels = rng.integers(0, 4, 2)
 logits, _ = model2.forward(xb, 0.8, modes=[GateMode.BINARY] * 3)
 softmax_cross_entropy(logits, labels).backward()
 gate_grads = [p.grad for p in model2.gate_parameters()]
-conv_grads = [b.conv1.grad for b in model2.blocks]
+conv_grads = [b.conv1.w.grad for b in model2.blocks]
 print("gate-module grads all zero :",
       all(g is None or not g.any() for g in gate_grads))
 print("backbone grads nonzero     :",

@@ -1,5 +1,5 @@
-"""Train a small resizable model end to end (about a minute) and watch
-block usage track the scale knob at evaluation."""
+"""Train a small resizable model end to end (about a minute) and check
+whether block usage tracks the scale knob at evaluation."""
 
 import numpy as np
 
@@ -36,10 +36,19 @@ print(f"final training loss {last.loss_total:.3f} "
 print("\nscale knob vs measured behavior on held-out data:")
 fm = FlopsModel.for_model(spec, (8, 8))
 print(f"{'scale':>6} {'usage/N':>8} {'accuracy':>9} {'MACs (rel)':>11}")
+usage = []
 for s in (0.2, 0.4, 0.6, 0.8, 1.0):
     r = evaluate(model, val, s, flops_model=fm)
     rel = r.stats.macs_mean / fm.total_macs
-    print(f"{s:>6.1f} {r.stats.usage_mean / spec.num_blocks:>8.3f} "
-          f"{r.accuracy:>9.3f} {rel:>11.2f}")
-print("\nusage rides the knob while accuracy stays flat until the "
-      "budget gets tight.")
+    usage.append(round(r.stats.usage_mean / spec.num_blocks, 3))
+    print(f"{s:>6.1f} {usage[-1]:>8.3f} {r.accuracy:>9.3f} {rel:>11.2f}")
+
+# a working knob: usage/N never falls as S grows and rises by at least
+# 0.15 from S=0.2 to S=1.0
+rise = round(usage[-1] - usage[0], 3)
+steady = all(a <= b for a, b in zip(usage, usage[1:]))
+verdict = "usage rides the knob" if steady and rise >= 0.15 else \
+    "the knob does not steer usage yet"
+print(f"\n{verdict}: usage/N changes by {rise:+.3f} from S=0.2 to S=1.0 "
+      f"and {'never falls' if steady else 'falls'} in between (a working "
+      f"knob rises by at least 0.150 and never falls).")

@@ -30,6 +30,7 @@ from .data import (
     save_checkpoint,
 )
 from .metrics import (
+    EVAL_BATCH,
     FlopsModel,
     budget_to_scale,
     evaluate,
@@ -203,9 +204,10 @@ def cmd_eval(args) -> int:
                           f"{model.spec.num_classes}")
     grid = _parse_grid(args.grid)
     fm = FlopsModel.for_model(model.spec, dataset.images.shape[2:])
-    # one untimed batch (evaluate's default size) takes the one-off start-up
-    # costs (BLAS, memory pools) that would otherwise be timed at grid[0]
-    head = Dataset(dataset.images[:256], dataset.labels[:256], dataset.split)
+    # one untimed batch takes the one-off start-up costs (BLAS, memory
+    # pools) that would otherwise be timed at grid[0]
+    head = Dataset(dataset.images[:EVAL_BATCH], dataset.labels[:EVAL_BATCH],
+                   dataset.split)
     evaluate(model, head, grid[0], gate_override=override, flops_model=fm)
     results, seconds = [], []
     for s in grid:

@@ -20,6 +20,8 @@ from .model import (
 )
 from .tensor import no_grad
 
+EVAL_BATCH = 256  # samples per forward pass in evaluate
+
 
 @dataclass(frozen=True)
 class FlopsModel:
@@ -112,41 +114,32 @@ class EvalResult:
                 "flops_mean": s.macs_mean, "flops_std": s.macs_std}
 
 
-def _gather(model: GatedResNet, images: np.ndarray, labels: np.ndarray,
-            scale: float, gate_override: GateMode | None,
-            batch_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gate matrix [M, N] and correctness flags [M] over a dataset."""
-    n = model.num_blocks
-    modes = None if gate_override is None else [gate_override] * n
-    gates_rows, correct = [], []
-    for start in range(0, len(images), batch_size):
-        xb = images[start:start + batch_size]
-        yb = labels[start:start + batch_size]
-        logits, record = model.forward(xb, scale, modes)
-        gates_rows.append(record.gates)
-        correct.append(np.argmax(logits.data, axis=1) == yb)
-    return np.concatenate(gates_rows), np.concatenate(correct)
-
-
 def evaluate(model: GatedResNet, dataset, scale: float, *,
              gate_override: GateMode | None = None,
-             flops_model: FlopsModel | None = None,
-             batch_size: int = 256) -> EvalResult:
-    """Top-1 accuracy plus usage/cost statistics at one scale setting.
+             flops_model: FlopsModel | None = None) -> EvalResult:
+    """Top-1 accuracy plus usage/cost statistics at one scale setting, in
+    batches of ``EVAL_BATCH`` samples.
 
     Deterministic and side-effect-free: gates are binary (the evaluation
     default) unless ``gate_override`` forces a mode, batch-norm running
     statistics are left untouched, and no autodiff graph is built.
     """
     scale = _check_scale(scale)
-    if len(dataset.images) == 0:
+    images, labels = dataset.images, dataset.labels
+    if len(images) == 0:
         raise ValueError("dataset is empty")
     if flops_model is None:
-        flops_model = FlopsModel.for_model(model.spec,
-                                           dataset.images.shape[2:])
+        flops_model = FlopsModel.for_model(model.spec, images.shape[2:])
+    modes = None if gate_override is None else \
+        [gate_override] * model.num_blocks
+    gates, correct = [], []
     with no_grad():
-        gates, correct = _gather(model, dataset.images, dataset.labels,
-                                 scale, gate_override, batch_size)
+        for start in range(0, len(images), EVAL_BATCH):
+            rows = slice(start, start + EVAL_BATCH)
+            logits, record = model.forward(images[rows], scale, modes)
+            gates.append(record.gates)
+            correct.append(np.argmax(logits.data, axis=1) == labels[rows])
+    gates, correct = np.concatenate(gates), np.concatenate(correct)
     per_block = gates.mean(axis=0)
     totals = gates.sum(axis=1)
     macs = flops_model.sample_macs(gates)

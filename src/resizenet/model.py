@@ -15,7 +15,7 @@ import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -140,34 +140,39 @@ class ModelSpec:
 
 
 @dataclass
-class BnParams:
+class ConvBn:
+    """A conv followed by batch norm: the [Cout,Cin,k,k] weight ``w``, the
+    norm's trained scale and shift and its running statistics.  The conv
+    pads by k // 2, so a stride-1 layer keeps the resolution."""
+    w: Tensor
     gamma: Tensor
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
+    stride: int
 
     @classmethod
-    def create(cls, c: int) -> "BnParams":
-        return cls(Tensor(np.ones(c), requires_grad=True),
-                   Tensor(np.zeros(c), requires_grad=True),
-                   np.zeros(c), np.ones(c))
+    def create(cls, c_in: int, c_out: int, k: int, stride: int,
+               rng: np.random.Generator) -> "ConvBn":
+        """He-normal weight; the norm starts as the identity."""
+        std = math.sqrt(2.0 / (c_in * k * k))
+        return cls(Tensor(rng.standard_normal((c_out, c_in, k, k)) * std,
+                          requires_grad=True),
+                   Tensor(np.ones(c_out), requires_grad=True),
+                   Tensor(np.zeros(c_out), requires_grad=True),
+                   np.zeros(c_out), np.ones(c_out), stride)
 
 
 @dataclass
 class BlockParams:
     """One residual block: conv-bn-relu-conv-bn around a shortcut.
 
-    ``proj_conv``/``proj_bn`` hold the 1x1 projection used when the block
-    changes resolution or width; the projection belongs to the shortcut
-    and always executes, gated or not.
+    ``proj`` is the 1x1 projection used when the block changes resolution
+    or width; it belongs to the shortcut and always executes, gated or not.
     """
-    conv1: Tensor
-    bn1: BnParams
-    conv2: Tensor
-    bn2: BnParams
-    stride: int = 1
-    proj_conv: Tensor | None = None
-    proj_bn: BnParams | None = None
+    conv1: ConvBn
+    conv2: ConvBn
+    proj: ConvBn | None = None
 
 
 @dataclass
@@ -266,32 +271,29 @@ def gate_forward(x: Tensor, scale: float, params: GateParams, mode: GateMode,
     return gate_activation(z, mode)
 
 
-def _conv_bn(x: Tensor, w: Tensor, bn: BnParams, stride: int, pad: int,
-             bn_training: bool) -> Tensor:
+def _conv_bn(x: Tensor, layer: ConvBn, bn_training: bool) -> Tensor:
     """``batch_norm(conv2d(x, w))``.  With eval batch norm and no graph
     recorded, the norm is a per-channel affine map and runs as the conv's
     folded weights and bias."""
+    stride, pad = layer.stride, layer.w.shape[2] // 2
     if not bn_training and not grad_enabled():
-        s = bn.gamma.data / np.sqrt(bn.running_var + BN_EPS)
-        return conv2d(x, Tensor(w.data * s[:, None, None, None]),
+        s = layer.gamma.data / np.sqrt(layer.running_var + BN_EPS)
+        return conv2d(x, Tensor(layer.w.data * s[:, None, None, None]),
                       stride=stride, pad=pad,
-                      bias=Tensor(bn.beta.data - bn.running_mean * s))
-    return batch_norm(conv2d(x, w, stride=stride, pad=pad), bn.gamma, bn.beta,
-                      bn.running_mean, bn.running_var, bn_training)
+                      bias=Tensor(layer.beta.data - layer.running_mean * s))
+    return batch_norm(conv2d(x, layer.w, stride=stride, pad=pad),
+                      layer.gamma, layer.beta, layer.running_mean,
+                      layer.running_var, bn_training)
 
 
 def _residual_branch(x: Tensor, block: BlockParams,
                      bn_training: bool) -> Tensor:
-    h = relu(_conv_bn(x, block.conv1, block.bn1, block.stride, 1,
-                      bn_training))
-    return _conv_bn(h, block.conv2, block.bn2, 1, 1, bn_training)
+    h = relu(_conv_bn(x, block.conv1, bn_training))
+    return _conv_bn(h, block.conv2, bn_training)
 
 
 def _shortcut(x: Tensor, block: BlockParams, bn_training: bool) -> Tensor:
-    if block.proj_conv is None:
-        return x
-    return _conv_bn(x, block.proj_conv, block.proj_bn, block.stride, 0,
-                    bn_training)
+    return x if block.proj is None else _conv_bn(x, block.proj, bn_training)
 
 
 def gated_block_forward(x: Tensor, block: BlockParams, gate: Tensor,
@@ -316,7 +318,7 @@ def gated_block_forward(x: Tensor, block: BlockParams, gate: Tensor,
         rows = np.flatnonzero(gate.data)
         if rows.size == 0:
             # identity shortcuts follow a ReLU already, projections do not
-            return shortcut if block.proj_conv is None else relu(shortcut)
+            return shortcut if block.proj is None else relu(shortcut)
         if rows.size < gate.shape[0]:
             branch = _residual_branch(take_rows(x, rows), block, False)
             return relu(add_rows(shortcut, rows, branch))
@@ -330,29 +332,16 @@ class GatedResNet:
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator):
         self.spec = spec
-        self.use_feature_input = spec.use_feature_input
-
-        c0 = spec.channels[0]
-        self.stem_conv = Tensor(
-            _he_conv(spec.in_channels, c0, 3, rng), requires_grad=True)
-        self.stem_bn = BnParams.create(c0)
-
+        self.stem = ConvBn.create(spec.in_channels, spec.channels[0], 3, 1,
+                                  rng)
         self.blocks: list[BlockParams] = []
         self.gate_modules: list[GateParams] = []
         for c_in, c_out, stride, needs_proj in spec.block_shapes():
-            block = BlockParams(
-                conv1=Tensor(_he_conv(c_in, c_out, 3, rng),
-                             requires_grad=True),
-                bn1=BnParams.create(c_out),
-                conv2=Tensor(_he_conv(c_out, c_out, 3, rng),
-                             requires_grad=True),
-                bn2=BnParams.create(c_out),
-                stride=stride,
-                proj_conv=Tensor(_he_conv(c_in, c_out, 1, rng),
-                                 requires_grad=True) if needs_proj else None,
-                proj_bn=BnParams.create(c_out) if needs_proj else None,
-            )
-            self.blocks.append(block)
+            self.blocks.append(BlockParams(
+                ConvBn.create(c_in, c_out, 3, stride, rng),
+                ConvBn.create(c_out, c_out, 3, 1, rng),
+                ConvBn.create(c_in, c_out, 1, stride, rng)
+                if needs_proj else None))
             self.gate_modules.append(
                 GateParams.create(c_in, spec.reduction, rng))
 
@@ -386,7 +375,7 @@ class GatedResNet:
         gates: list[Tensor] = []
         for block, gparams, mode in zip(self.blocks, self.gate_modules, modes):
             gate = gate_forward(h, scale, gparams, mode,
-                                self.use_feature_input)
+                                self.spec.use_feature_input)
             h = gated_block_forward(h, block, gate, mode,
                                     bn_training=bn_training)
             gates.append(gate)
@@ -397,30 +386,28 @@ class GatedResNet:
         """Stem on [B,C,H,W] images; every activation after it is [B,H,W,C]."""
         x = images.data if isinstance(images, Tensor) else images
         x = Tensor(np.moveaxis(x, 1, -1).copy())
-        return relu(_conv_bn(x, self.stem_conv, self.stem_bn, 1, 1,
-                             bn_training))
+        return relu(_conv_bn(x, self.stem, bn_training))
 
     def _head(self, h: Tensor) -> Tensor:
         return affine(global_avg_pool(h), self.head_w, self.head_b)
 
     # -- parameter access ---------------------------------------------------
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out: list[tuple[str, Tensor]] = [("stem.conv", self.stem_conv),
-                                         ("stem.bn.gamma", self.stem_bn.gamma),
-                                         ("stem.bn.beta", self.stem_bn.beta)]
+    def _conv_bn_layers(self) -> Iterator[tuple[str, str, ConvBn]]:
+        """``(conv name, norm name, layer)`` per conv + batch-norm layer, in
+        checkpoint order."""
+        yield "stem.conv", "stem.bn", self.stem
         for i, block in enumerate(self.blocks):
-            pre = f"block{i}"
-            out += [(f"{pre}.conv1", block.conv1),
-                    (f"{pre}.bn1.gamma", block.bn1.gamma),
-                    (f"{pre}.bn1.beta", block.bn1.beta),
-                    (f"{pre}.conv2", block.conv2),
-                    (f"{pre}.bn2.gamma", block.bn2.gamma),
-                    (f"{pre}.bn2.beta", block.bn2.beta)]
-            if block.proj_conv is not None:
-                out += [(f"{pre}.proj.conv", block.proj_conv),
-                        (f"{pre}.proj.bn.gamma", block.proj_bn.gamma),
-                        (f"{pre}.proj.bn.beta", block.proj_bn.beta)]
+            yield f"block{i}.conv1", f"block{i}.bn1", block.conv1
+            yield f"block{i}.conv2", f"block{i}.bn2", block.conv2
+            if block.proj is not None:
+                yield f"block{i}.proj.conv", f"block{i}.proj.bn", block.proj
+
+    def named_parameters(self) -> list[tuple[str, Tensor]]:
+        out: list[tuple[str, Tensor]] = []
+        for conv, norm, layer in self._conv_bn_layers():
+            out += [(conv, layer.w), (f"{norm}.gamma", layer.gamma),
+                    (f"{norm}.beta", layer.beta)]
         for i, g in enumerate(self.gate_modules):
             pre = f"gate{i}"
             out += [(f"{pre}.w1", g.w1), (f"{pre}.b1", g.b1),
@@ -430,18 +417,10 @@ class GatedResNet:
 
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
         """Batch-norm running statistics (state, not trained)."""
-        out = [("stem.bn.mean", self.stem_bn.running_mean),
-               ("stem.bn.var", self.stem_bn.running_var)]
-        for i, block in enumerate(self.blocks):
-            pre = f"block{i}"
-            out += [(f"{pre}.bn1.mean", block.bn1.running_mean),
-                    (f"{pre}.bn1.var", block.bn1.running_var),
-                    (f"{pre}.bn2.mean", block.bn2.running_mean),
-                    (f"{pre}.bn2.var", block.bn2.running_var)]
-            if block.proj_bn is not None:
-                out += [(f"{pre}.proj.bn.mean", block.proj_bn.running_mean),
-                        (f"{pre}.proj.bn.var", block.proj_bn.running_var)]
-        return out
+        return [(f"{norm}.{stat}", arr)
+                for _, norm, layer in self._conv_bn_layers()
+                for stat, arr in (("mean", layer.running_mean),
+                                  ("var", layer.running_var))]
 
     def gate_parameters(self) -> list[Tensor]:
         return [t for name, t in self.named_parameters()
@@ -457,12 +436,6 @@ class GatedResNet:
     def zero_grads(self) -> None:
         for p in self.parameters():
             p.zero_grad()
-
-
-def _he_conv(c_in: int, c_out: int, k: int,
-             rng: np.random.Generator) -> np.ndarray:
-    std = math.sqrt(2.0 / (c_in * k * k))
-    return rng.standard_normal((c_out, c_in, k, k)) * std
 
 
 def sample_kept_blocks(scale: float, n: int,
@@ -492,5 +465,5 @@ def random_drop_forward(model: GatedResNet, x, scale: float,
         if keep:
             h = relu(add(shortcut, _residual_branch(h, block, bn_training)))
         else:
-            h = shortcut if block.proj_conv is None else relu(shortcut)
+            h = shortcut if block.proj is None else relu(shortcut)
     return model._head(h), kept

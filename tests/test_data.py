@@ -192,11 +192,11 @@ class TestCheckpoint:
 
     def test_buffers_roundtrip(self, tmp_path):
         model = self._model()
-        model.stem_bn.running_mean[...] = [1, 2, 3, 4, 5, 6, 7, 8]
+        model.stem.running_mean[...] = [1, 2, 3, 4, 5, 6, 7, 8]
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model)
         loaded, _ = load_checkpoint(path)
-        np.testing.assert_array_equal(loaded.stem_bn.running_mean,
+        np.testing.assert_array_equal(loaded.stem.running_mean,
                                       np.arange(1.0, 9.0))
 
     def test_evaluation_identical_after_roundtrip(self, tmp_path):
@@ -349,6 +349,18 @@ class TestCheckpoint:
             np.concatenate([a.ravel() for a in arrays]), values)
         save_checkpoint(tmp_path / "again.ckpt", model, train_state=state)
         assert (tmp_path / "again.ckpt").read_bytes() == blob
+
+    def test_fixture_is_rebuilt_from_its_recipe(self, tmp_path):
+        # the recipe in FIXTURE's comment; pins the order in which
+        # GatedResNet draws its initial parameters
+        model = GatedResNet(ModelSpec((1, 1), (4, 6), num_classes=3),
+                            np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        for _, arr in model.named_buffers():
+            arr[...] = rng.uniform(0.5, 1.5, arr.shape)
+        path = tmp_path / "rebuilt.ckpt"
+        save_checkpoint(path, model, train_state={"epoch": 1})
+        assert path.read_bytes() == FIXTURE.read_bytes()
 
     def test_oversized_integer_in_header_is_checkpoint_error(self,
                                                              tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from resizenet.data import make_synthetic
 from resizenet.metrics import (
+    EVAL_BATCH,
     FlopsModel,
     budget_to_scale,
     evaluate,
@@ -152,7 +153,8 @@ class TestEvaluate:
 
     def test_builds_no_graph_and_leaves_training_intact(self, setup,
                                                         monkeypatch):
-        model, dataset = setup
+        model, _ = setup
+        dataset = make_synthetic(EVAL_BATCH + 8, 4, 8, seed=1)  # two batches
         tracked = []
         forward = model.forward
 
@@ -162,7 +164,7 @@ class TestEvaluate:
             return logits, record
 
         monkeypatch.setattr(model, "forward", spy)
-        evaluate(model, dataset, 0.5, batch_size=32)
+        evaluate(model, dataset, 0.5)
         monkeypatch.undo()
         assert tracked == [False, False]
         assert all(p.grad is None for p in model.parameters())
@@ -188,7 +190,8 @@ class TestEvaluate:
         graph_calls = dict(calls)
         assert graph_calls["batch_norm"] == graph_calls["conv2d"] > 0
         calls.update(conv2d=0, batch_norm=0)
-        evaluate(model, dataset, 0.5, batch_size=len(dataset))
+        assert len(dataset) <= EVAL_BATCH  # one batch, as in the forward
+        evaluate(model, dataset, 0.5)
         assert calls == {"conv2d": graph_calls["conv2d"], "batch_norm": 0}
 
     def test_feature_free_model_has_zero_variance(self):

@@ -9,7 +9,7 @@ import pytest
 import resizenet.model
 from resizenet.model import (
     BlockParams,
-    BnParams,
+    ConvBn,
     GateMode,
     GateParams,
     GatedResNet,
@@ -42,17 +42,9 @@ def make_block(c_in, c_out=None, stride=1, rng=None):
     c_out = c_out or c_in
     needs_proj = stride != 1 or c_in != c_out
     return BlockParams(
-        conv1=Tensor(rng.standard_normal((c_out, c_in, 3, 3)) * 0.2,
-                     requires_grad=True),
-        bn1=BnParams.create(c_out),
-        conv2=Tensor(rng.standard_normal((c_out, c_out, 3, 3)) * 0.2,
-                     requires_grad=True),
-        bn2=BnParams.create(c_out),
-        stride=stride,
-        proj_conv=Tensor(rng.standard_normal((c_out, c_in, 1, 1)) * 0.2,
-                         requires_grad=True) if needs_proj else None,
-        proj_bn=BnParams.create(c_out) if needs_proj else None,
-    )
+        ConvBn.create(c_in, c_out, 3, stride, rng),
+        ConvBn.create(c_out, c_out, 3, 1, rng),
+        ConvBn.create(c_in, c_out, 1, stride, rng) if needs_proj else None)
 
 
 def spy_branch(monkeypatch) -> list:
@@ -282,13 +274,13 @@ class TestGatedBlockForward:
 
     def test_closed_gate_in_bn_training_still_runs_branch(self, monkeypatch):
         calls = spy_branch(monkeypatch)
-        before = [bn.running_mean.copy() for bn in (self.block.bn1,
-                                                    self.block.bn2)]
+        layers = (self.block.conv1, self.block.conv2)
+        before = [layer.running_mean.copy() for layer in layers]
         out = gated_block_forward(self.x, self.block, Tensor(np.zeros(3)),
                                   GateMode.BINARY, bn_training=True)
         assert len(calls) == 1
-        for bn, mean in zip((self.block.bn1, self.block.bn2), before):
-            assert not np.array_equal(bn.running_mean, mean)
+        for layer, mean in zip(layers, before):
+            assert not np.array_equal(layer.running_mean, mean)
         assert out.data.tobytes() == self.x.data.tobytes()
 
     def test_mixed_gates_bypass_per_sample(self):
@@ -312,7 +304,7 @@ class TestGatedBlockForward:
         # the two 3x3 branch convs see the open rows, a 1x1 projection all
         assert [rows for k, rows in convs if k == 3] == [2, 2]
         assert [rows for k, rows in convs if k == 1] == \
-            ([3] if block.proj_conv is not None else [])
+            ([3] if block.proj is not None else [])
         assert out.data[1].tobytes() == \
             np.maximum(shortcut[1], 0.0).tobytes()
         np.testing.assert_allclose(out.data[[0, 2]],
@@ -334,15 +326,15 @@ class TestGatedBlockForward:
         x = Tensor(self.x.data.copy(), requires_grad=True)
         r = Tensor(rng.standard_normal(self.x.shape))
         gate = Tensor([0.0, 1.0, 1.0])
-        for bn in (self.block.bn1, self.block.bn2):
-            bn.running_mean[...] = rng.standard_normal(6) * 0.1
-            bn.running_var[...] = rng.uniform(0.5, 2.0, 6)
+        for layer in (self.block.conv1, self.block.conv2):
+            layer.running_mean[...] = rng.standard_normal(6) * 0.1
+            layer.running_var[...] = rng.uniform(0.5, 2.0, 6)
 
         def loss():
             return sum_all(mul(gated_block_forward(
                 x, self.block, gate, GateMode.BINARY), r))
 
-        assert grad_check(loss, [x, self.block.conv1]) < 1e-4
+        assert grad_check(loss, [x, self.block.conv1.w]) < 1e-4
 
     def test_sigmoid_gate_is_never_skipped(self, monkeypatch):
         calls = spy_branch(monkeypatch)
@@ -408,7 +400,7 @@ class TestGatedResNetForward:
         softmax_cross_entropy(logits, labels).backward()
         for p in model.gate_parameters():
             assert p.grad is None or not p.grad.any()
-        conv_grads = [b.conv1.grad for b in model.blocks]
+        conv_grads = [b.conv1.w.grad for b in model.blocks]
         assert all(g is not None and np.abs(g).max() > 0 for g in conv_grads)
 
     def test_sigmoid_gates_pass_gate_module_gradients(self):
@@ -452,9 +444,10 @@ class TestFoldedEvalBatchNorm:
     folded weights and a bias; it must agree with the unfolded pass."""
 
     @staticmethod
-    def randomize_bn(norms, rng):
-        """Random gamma, beta and running stats on each norm (None skipped)."""
-        for bn in filter(None, norms):
+    def randomize_bn(layers, rng):
+        """Random gamma, beta and running stats on each conv + batch-norm
+        layer (None skipped)."""
+        for bn in filter(None, layers):
             c = bn.gamma.shape[0]
             bn.gamma.data[...] = rng.uniform(0.5, 1.5, c)
             bn.beta.data[...] = rng.standard_normal(c) * 0.3
@@ -466,8 +459,8 @@ class TestFoldedEvalBatchNorm:
                          num_classes=4)
         model = GatedResNet(spec, np.random.default_rng(50))
         rng = np.random.default_rng(51)
-        self.randomize_bn([model.stem_bn] + [
-            bn for b in model.blocks for bn in (b.bn1, b.bn2, b.proj_bn)], rng)
+        self.randomize_bn(
+            [layer for _, _, layer in model._conv_bn_layers()], rng)
         x = rng.standard_normal((16, 3, 8, 7))
         # centre every gate head on its block input at S=0.5, so that the
         # gates open for about half of the samples
@@ -478,7 +471,7 @@ class TestFoldedEvalBatchNorm:
             gp.b2.data -= np.median(np.log(s / (1.0 - s)))
             gate = gate_forward(h, 0.5, gp, GateMode.BINARY)
             h = gated_block_forward(h, block, gate, GateMode.BINARY)
-        assert any(b.proj_conv is not None for b in model.blocks)
+        assert any(b.proj is not None for b in model.blocks)
         bn_calls = spy_batch_norms(monkeypatch)
         mixed = 0
         for scale in (0.0, 0.5, 1.0):
@@ -502,12 +495,12 @@ class TestFoldedEvalBatchNorm:
         block = make_block(6, c_out, stride=stride,
                            rng=np.random.default_rng(52))
         rng = np.random.default_rng(53)
-        self.randomize_bn([block.bn1, block.bn2, block.proj_bn], rng)
+        self.randomize_bn([block.conv1, block.conv2, block.proj], rng)
         x = Tensor(np.maximum(rng.standard_normal((3, 8, 7, 6)), 0.0))
         gate = Tensor([1.0, 0.0, 1.0])
         bn_calls = spy_batch_norms(monkeypatch)
         ref = gated_block_forward(x, block, gate, GateMode.BINARY)
-        assert len(bn_calls) == 2 + (block.proj_bn is not None)
+        assert len(bn_calls) == 2 + (block.proj is not None)
         bn_calls.clear()
         with no_grad():
             out = gated_block_forward(x, block, gate, GateMode.BINARY)
