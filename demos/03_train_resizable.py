@@ -38,7 +38,7 @@ fm = FlopsModel.for_model(spec, (8, 8))
 print(f"{'scale':>6} {'usage/N':>8} {'accuracy':>9} {'MACs (rel)':>11}")
 usage = []
 for s in (0.2, 0.4, 0.6, 0.8, 1.0):
-    r = evaluate(model, val, s, flops_model=fm)
+    r = evaluate(model, val, s)
     rel = r.stats.macs_mean / fm.total_macs
     usage.append(round(r.stats.usage_mean / spec.num_blocks, 3))
     print(f"{s:>6.1f} {usage[-1]:>8.3f} {r.accuracy:>9.3f} {rel:>11.2f}")

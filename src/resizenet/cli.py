@@ -197,7 +197,7 @@ def _parse_grid(values) -> list[float]:
 def cmd_eval(args) -> int:
     override = GateMode.SIGMOID if args.gate_override else None
     model, _ = load_checkpoint(args.checkpoint)
-    dataset = load_dataset_spec(_json_or_file(args.dataset), args.split)
+    dataset = load_dataset_spec(_json_or_file(args.dataset), "val")
     if dataset.num_classes > model.spec.num_classes:
         raise ConfigError(f"dataset has {dataset.num_classes} classes but the "
                           f"checkpoint's model outputs "
@@ -208,12 +208,11 @@ def cmd_eval(args) -> int:
     # pools) that would otherwise be timed at grid[0]
     head = Dataset(dataset.images[:EVAL_BATCH], dataset.labels[:EVAL_BATCH],
                    dataset.split)
-    evaluate(model, head, grid[0], gate_override=override, flops_model=fm)
+    evaluate(model, head, grid[0], gate_override=override)
     results, seconds = [], []
     for s in grid:
         t0 = time.perf_counter()
-        results.append(evaluate(model, dataset, s, gate_override=override,
-                                flops_model=fm))
+        results.append(evaluate(model, dataset, s, gate_override=override))
         seconds.append(time.perf_counter() - t0)
 
     rows = [r.summary() for r in results]
@@ -293,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--dataset", required=True,
                         help="dataset spec: JSON file path or inline JSON")
-    p_eval.add_argument("--split", choices=("train", "val"), default="val")
     p_eval.add_argument("--grid", nargs="+", required=True,
                         metavar="S", help="ascending scale values")
     p_eval.add_argument("--out", required=True)

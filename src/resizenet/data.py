@@ -25,9 +25,12 @@ from .model import GatedResNet, ModelSpec, check_number
 
 CHECKPOINT_VERSION = 1
 
-# widely used per-channel statistics for the 32x32 RGB corpus
-CIFAR10_MEANS = (0.4914, 0.4822, 0.4465)
-CIFAR10_STDS = (0.2470, 0.2435, 0.2616)
+# widely used per-channel statistics of the 32x32 RGB corpus, [1,3,1,1]
+CIFAR10_MEANS = np.array([0.4914, 0.4822, 0.4465]).reshape(1, 3, 1, 1)
+CIFAR10_STDS = np.array([0.2470, 0.2435, 0.2616]).reshape(1, 3, 1, 1)
+
+# scale of the synthetic class templates, whose cells are standard normal
+TEMPLATE_SCALE = 0.12
 
 
 class DatasetFormatError(ValueError):
@@ -35,19 +38,7 @@ class DatasetFormatError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """Base class for checkpoint load failures."""
-
-
-class CheckpointVersionError(CheckpointError):
-    pass
-
-
-class CheckpointIntegrityError(CheckpointError):
-    pass
-
-
-class ArchitectureMismatchError(CheckpointError):
-    pass
+    """A checkpoint cannot be loaded; the message names the failure."""
 
 
 @dataclass
@@ -74,21 +65,20 @@ class Dataset:
 @np.errstate(over="raise")  # overflowing amplitudes raise FloatingPointError
 def make_synthetic(m: int, classes: int = 4, image_size: int = 8,
                    seed: int = 0, *, noise_sigma: float = 0.5,
-                   template_scale: float = 0.12,
                    split: str = "train") -> Dataset:
     """Noisy-template classification task.
 
     Each class owns a seeded random 3xHxH template; a sample is its class
-    template plus i.i.d. Gaussian pixel noise.  Templates are piecewise
-    constant on 2x2 cells (a coarse random grid upsampled), so the class
-    signal has local spatial structure a convolutional net can average
-    over; fully independent pixels would be near-invisible to a
-    weight-shared conv stack at this noise level.  At the default
-    amplitudes the nearest-template classifier (the Bayes rule for this
-    generator) lands in the mid-to-high 90s, so the task is comfortably
-    learnable without being trivial.  Both splits take the templates from
-    ``seed``, and the val split its labels and noise from a second
-    generator of that seed: unseen samples of the training task.
+    template, scaled by ``TEMPLATE_SCALE``, plus i.i.d. Gaussian pixel
+    noise.  Templates are piecewise constant on 2x2 cells (a coarse random
+    grid upsampled), so the class signal has local spatial structure a
+    convolutional net can average over; fully independent pixels would be
+    near-invisible to a weight-shared conv stack at this noise level.  At
+    the default noise the nearest-template classifier (the Bayes rule for
+    this generator) lands in the mid-to-high 90s, so the task is
+    comfortably learnable without being trivial.  Both splits take the
+    templates from ``seed``, and the val split its labels and noise from
+    a second generator of that seed: unseen samples of the training task.
     Templates travel in ``meta`` for oracle checks.
     """
     for name, value, low in (("m", m, 1), ("classes", classes, 2),
@@ -97,48 +87,36 @@ def make_synthetic(m: int, classes: int = 4, image_size: int = 8,
     if split not in ("train", "val"):
         raise ValueError(f"split must be train or val, got {split!r}")
     noise_sigma = float(check_number("noise_sigma", noise_sigma))
-    template_scale = float(check_number("template_scale", template_scale))
     h = image_size
     rng = np.random.default_rng(seed)
     factor = 2 if h % 2 == 0 else 1
     coarse = rng.standard_normal((classes, 3, h // factor, h // factor))
     templates = np.repeat(np.repeat(coarse, factor, axis=2), factor,
-                          axis=3) * template_scale
+                          axis=3) * TEMPLATE_SCALE
     if split == "val":
         rng = np.random.default_rng([seed, 1])
     labels = rng.integers(0, classes, m)
     images = templates[labels] + rng.standard_normal((m, 3, h, h)) * noise_sigma
     return Dataset(images=images, labels=labels, split=split,
                    meta={"num_classes": classes, "templates": templates,
-                         "noise_sigma": noise_sigma,
-                         "template_scale": template_scale, "seed": seed})
+                         "noise_sigma": noise_sigma, "seed": seed})
 
 
 def load_cifar_binary(path, *, record_format: str = "cifar10",
-                      means: tuple = CIFAR10_MEANS,
-                      stds: tuple = CIFAR10_STDS,
                       split: str = "train",
                       augment: bool = False) -> Dataset:
     """Parse the 3073-byte-record binary format into a normalized Dataset.
 
-    Pixels are scaled to [0,1] and then normalized per channel by the given
-    mean/std.  ``record_format="cifar100"`` reads the 3074-byte variant
-    (coarse label byte + fine label byte) and keeps the fine label; the
-    class count follows the format: 10 or 100.
+    Pixels are scaled to [0,1] and then normalized per channel by
+    ``CIFAR10_MEANS`` and ``CIFAR10_STDS``.  ``record_format="cifar100"``
+    reads the 3074-byte variant (coarse label byte + fine label byte) and
+    keeps the fine label; the class count follows the format: 10 or 100.
     """
     label_bytes, num_classes = {"cifar10": (1, 10), "cifar100": (2, 100)}.get(
         record_format, (None, None))
     if label_bytes is None:
         raise ValueError(f"unknown record format {record_format!r}")
     record = label_bytes + 3072
-    means_arr = np.asarray(means, dtype=np.float64)
-    stds_arr = np.asarray(stds, dtype=np.float64)
-    if means_arr.shape != (3,) or stds_arr.shape != (3,) or \
-            not np.isfinite(means_arr).all() or \
-            not ((stds_arr > 0) & (stds_arr < np.inf)).all():
-        raise ValueError(f"means and stds need one finite value per channel, "
-                         f"stds > 0, got {means!r}, {stds!r}")
-
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size == 0 or raw.size % record != 0:
         raise DatasetFormatError(
@@ -153,11 +131,10 @@ def load_cifar_binary(path, *, record_format: str = "cifar10",
 
     pixels = rows[:, label_bytes:].reshape(-1, 3, 32, 32)
     images = pixels.astype(np.float64) / 255.0
-    images = (images - means_arr[None, :, None, None]) \
-        / stds_arr[None, :, None, None]
+    images = (images - CIFAR10_MEANS) / CIFAR10_STDS
     return Dataset(images=images, labels=labels, split=split,
-                   meta={"num_classes": num_classes, "means": list(means),
-                         "stds": list(stds), "record_format": record_format},
+                   meta={"num_classes": num_classes,
+                         "record_format": record_format},
                    augment=augment)
 
 
@@ -234,9 +211,10 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
                     ) -> tuple[GatedResNet, dict]:
     """Rebuild the model recorded in a checkpoint.
 
-    Raises a distinct error per failure class: unknown format version,
-    a tensor table that is not the model's, payload corruption, or an
-    architecture that does not match ``expected_spec``.
+    Raises ``CheckpointError`` on every failure, among them an unknown
+    format version, payload corruption, a tensor table that is not the
+    model's, or an architecture that does not match ``expected_spec``;
+    the message names the failure.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -255,7 +233,7 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
 
     version = header.get("format_version")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(
+        raise CheckpointError(
             f"{path}: format version {version}, expected "
             f"{CHECKPOINT_VERSION}")
 
@@ -267,7 +245,7 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
             f"declares {header['payload_nbytes']}")
     crc = zlib.crc32(payload)
     if crc != header["crc32"] or crc != trailer_crc:
-        raise CheckpointIntegrityError(
+        raise CheckpointError(
             f"{path}: payload CRC32 {crc:#010x} does not match the "
             f"recorded checksum")
 
@@ -278,10 +256,10 @@ def load_checkpoint(path, expected_spec: ModelSpec | None = None
             f"{path}: invalid model description: {exc!r}") from exc
     if expected_spec is not None and spec != expected_spec:
         if spec.num_blocks != expected_spec.num_blocks:
-            raise ArchitectureMismatchError(
+            raise CheckpointError(
                 f"{path}: checkpoint has {spec.num_blocks} blocks but the "
                 f"configuration expects {expected_spec.num_blocks}")
-        raise ArchitectureMismatchError(
+        raise CheckpointError(
             f"{path}: checkpoint architecture {spec} does not match "
             f"expected {expected_spec}")
 

@@ -115,8 +115,7 @@ class EvalResult:
 
 
 def evaluate(model: GatedResNet, dataset, scale: float, *,
-             gate_override: GateMode | None = None,
-             flops_model: FlopsModel | None = None) -> EvalResult:
+             gate_override: GateMode | None = None) -> EvalResult:
     """Top-1 accuracy plus usage/cost statistics at one scale setting, in
     batches of ``EVAL_BATCH`` samples.
 
@@ -128,8 +127,6 @@ def evaluate(model: GatedResNet, dataset, scale: float, *,
     images, labels = dataset.images, dataset.labels
     if len(images) == 0:
         raise ValueError("dataset is empty")
-    if flops_model is None:
-        flops_model = FlopsModel.for_model(model.spec, images.shape[2:])
     modes = None if gate_override is None else \
         [gate_override] * model.num_blocks
     gates, correct = [], []
@@ -142,7 +139,8 @@ def evaluate(model: GatedResNet, dataset, scale: float, *,
     gates, correct = np.concatenate(gates), np.concatenate(correct)
     per_block = gates.mean(axis=0)
     totals = gates.sum(axis=1)
-    macs = flops_model.sample_macs(gates)
+    fm = FlopsModel.for_model(model.spec, images.shape[2:])
+    macs = fm.sample_macs(gates)
     stats = UsageStats(scale=scale,
                        per_block_usage=per_block,
                        usage_mean=float(per_block.sum()),
@@ -205,12 +203,11 @@ def monotone_envelope(calibration: list[tuple[float, float]]
     return out, changed
 
 
-def write_calibration_json(path, calibration, flops_model: FlopsModel
-                           ) -> None:
+def write_calibration_json(path, calibration, fm: FlopsModel) -> None:
     doc = {"entries": [{"scale": s, "flops_mean": f} for s, f in calibration],
-           "fixed_flops": flops_model.fixed_macs,
-           "total_flops": flops_model.total_macs,
-           "gate_overhead_ratio": flops_model.gate_overhead_ratio}
+           "fixed_flops": fm.fixed_macs,
+           "total_flops": fm.total_macs,
+           "gate_overhead_ratio": fm.gate_overhead_ratio}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -347,10 +347,11 @@ def sum_all(x: Tensor) -> Tensor:
 # k*C values of the channels-last input.
 
 # Every conv builds and consumes its columns a block of samples at a time,
-# at most this many bytes, so they are still in cache when the GEMM reads
-# them: half of a common 2 MiB per-core L2, leaving room for the block's
-# padded image and output.  The weight gradient rebuilds them from x.  The
-# blocks follow from the shapes alone, so a batch always splits the same way.
+# at most this many bytes, or one sample when its columns alone are larger,
+# so they are still in cache when the GEMM reads them: half of a common
+# 2 MiB per-core L2, leaving room for the block's padded image and output.
+# The weight gradient rebuilds them from x.  The blocks follow from the
+# shapes alone, so a batch always splits the same way.
 _COLS_BLOCK_BYTES = 1 << 20
 
 

@@ -258,12 +258,14 @@ class TestTrainCommand:
         ("train", {**SHORT_TRAIN, "optimizer": {"beta1": 0.5}}, ["beta1"]),
         ("seed", 1, ["seed"]),
         ("dataset", {**SMALL_DATASET, "noise_sigma": NAN}, ["noise_sigma"]),
-        ("dataset", {**SMALL_DATASET, "template_scale": INF},
+        # removed keys: the template scale and the cifar statistics are
+        # fixed, so even their former default values are rejected
+        ("dataset", {**SMALL_DATASET, "template_scale": 0.12},
          ["template_scale"]),
-        ("dataset", {**CIFAR_DATASET, "stds": [0, 1, 1]}, ["stds"]),
-        ("dataset", {**CIFAR_DATASET, "stds": [NAN, 1, 1]}, ["stds"]),
-        ("dataset", {**CIFAR_DATASET, "means": [NAN, 0, 0]}, ["means"]),
-        ("dataset", {**CIFAR_DATASET, "means": 0.5}, ["means"]),
+        ("dataset", {**CIFAR_DATASET, "means": [0.4914, 0.4822, 0.4465]},
+         ["means"]),
+        ("dataset", {**CIFAR_DATASET, "stds": [0.2470, 0.2435, 0.2616]},
+         ["stds"]),
         ("train", {**SHORT_TRAIN, "p": True}, ["p must"]),
         ("train", {**SHORT_TRAIN, "optimizer": {"kind": "sgd",
                                                 "momentum": False}},
@@ -292,8 +294,7 @@ class TestTrainCommand:
             "lr_schedule_strings", "epochs_total_bool", "sigma_nan",
             "adam_momentum_one", "weight_decay_infinite", "optimizer_null",
             "optimizer_beta1", "top_level_seed", "synthetic_noise_nan",
-            "synthetic_template_scale_infinite", "cifar_stds_zero",
-            "cifar_stds_nan", "cifar_means_nan", "cifar_means_scalar",
+            "synthetic_template_scale", "cifar_means", "cifar_stds",
             "p_true", "momentum_false", "scale_fixed_scale_true",
             "scale_range_bools", "scale_range_three", "scale_range_scalar",
             "lr_schedule_triple", "lr_schedule_scalar",
@@ -402,6 +403,17 @@ class TestEvalCommand:
                      "--dataset", dataset_spec,
                      "--grid", "0.9", "0.1", "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
+
+    def test_removed_split_flag_is_usage_error(self, checkpoint,
+                                               dataset_spec, tmp_path,
+                                               capsys):
+        # eval always reads the dataset's val split
+        code = main(["eval", "--checkpoint", checkpoint,
+                     "--dataset", dataset_spec, "--split", "val",
+                     "--grid", "0.5", "--out", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_gate_override_changes_costs(self, checkpoint, dataset_spec,
                                          tmp_path):

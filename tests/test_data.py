@@ -9,10 +9,7 @@ import pytest
 
 from resizenet.cli import EXIT_DATA, main
 from resizenet.data import (
-    ArchitectureMismatchError,
     CheckpointError,
-    CheckpointIntegrityError,
-    CheckpointVersionError,
     Dataset,
     augment_batch,
     load_cifar_binary,
@@ -71,6 +68,7 @@ class TestMakeSynthetic:
         ({"m": 0}, ValueError),
         ({"split": "test"}, ValueError),
         ({"seed": None}, TypeError),  # None would draw an unseeded task
+        # the template scale is a module constant, not a parameter
         ({"template_scale": [[[[[0.1]]]]]}, TypeError),
         ({"noise_sigma": 1e308}, FloatingPointError),
     ], ids=["m_zero", "split_test", "seed_none", "template_scale_nested",
@@ -78,6 +76,11 @@ class TestMakeSynthetic:
     def test_malformed_argument_rejected(self, kwargs, error):
         with pytest.raises(error):
             make_synthetic(**{"m": 64, "seed": 5, **kwargs})
+
+
+# the per-channel statistics the cifar loader normalizes by
+CIFAR_MEANS = np.array([0.4914, 0.4822, 0.4465])
+CIFAR_STDS = np.array([0.2470, 0.2435, 0.2616])
 
 
 class TestCifarBinary:
@@ -105,20 +108,25 @@ class TestCifarBinary:
             load_cifar_binary(path)
 
     def test_normalization_arithmetic(self, tmp_path):
+        # a white pixel is (1 - mean) / std under the fixed statistics
         path = tmp_path / "norm.bin"
         path.write_bytes(self._record(0, 255))
-        ds = load_cifar_binary(path, means=(0.5, 0.5, 0.5),
-                               stds=(0.25, 0.25, 0.25))
-        np.testing.assert_allclose(ds.images, 2.0)
+        ds = load_cifar_binary(path)
+        white = (1 - CIFAR_MEANS) / CIFAR_STDS
+        np.testing.assert_allclose(
+            ds.images, np.broadcast_to(white[None, :, None, None],
+                                       ds.images.shape))
 
     def test_plane_order_is_rgb(self, tmp_path):
         # red plane bright, green and blue dark
         body = bytes([250] * 1024) + bytes([0] * 2048)
         path = tmp_path / "rgb.bin"
         path.write_bytes(bytes([3]) + body)
-        ds = load_cifar_binary(path, means=(0, 0, 0), stds=(1, 1, 1))
-        assert ds.images[0, 0].min() == pytest.approx(250 / 255)
-        assert ds.images[0, 1].max() == 0.0
+        ds = load_cifar_binary(path)
+        red = (250 / 255 - CIFAR_MEANS[0]) / CIFAR_STDS[0]
+        green = -CIFAR_MEANS[1] / CIFAR_STDS[1]
+        assert ds.images[0, 0].min() == pytest.approx(red)
+        assert ds.images[0, 1].max() == pytest.approx(green)
 
     def test_coarse_fine_variant(self, tmp_path):
         path = tmp_path / "c100.bin"
@@ -217,7 +225,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[-100] ^= 0xFF  # inside the payload, ahead of the crc trailer
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointIntegrityError, match="CRC32"):
+        with pytest.raises(CheckpointError, match="CRC32"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -227,7 +235,7 @@ class TestCheckpoint:
         blob = path.read_bytes()
         patched = blob.replace(b'"format_version": 1', b'"format_version": 9')
         path.write_bytes(patched)
-        with pytest.raises(CheckpointVersionError, match="version"):
+        with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(path)
 
     def test_architecture_mismatch_names_block_counts(self, tmp_path):
@@ -236,7 +244,7 @@ class TestCheckpoint:
         save_checkpoint(path, model)
         other = ModelSpec(stage_blocks=(3, 3), channels=(8, 16),
                           num_classes=4)
-        with pytest.raises(ArchitectureMismatchError, match="4.*6|6.*4"):
+        with pytest.raises(CheckpointError, match="4.*6|6.*4"):
             load_checkpoint(path, expected_spec=other)
 
     def test_truncated_file(self, tmp_path):

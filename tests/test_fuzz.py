@@ -185,8 +185,7 @@ class TestCifarBinaryFuzz:
 
 
 class TestSyntheticSectionFuzz:
-    @pytest.mark.parametrize(
-        "key", [*SIZE_KEYS, "seed", "noise_sigma", "template_scale"])
+    @pytest.mark.parametrize("key", [*SIZE_KEYS, "seed", "noise_sigma"])
     @FUZZ
     @given(data=st.data())
     def test_one_key_value(self, data, key):

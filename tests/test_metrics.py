@@ -13,7 +13,7 @@ from resizenet.metrics import (
     write_usage_map_csv,
 )
 from resizenet.model import GatedResNet, GateMode, ModelSpec
-from resizenet.tensor import softmax_cross_entropy
+from resizenet.tensor import no_grad, softmax_cross_entropy
 
 
 TOY_SPEC = ModelSpec(stage_blocks=(4, 4, 4), channels=(16, 32, 64),
@@ -70,7 +70,8 @@ class TestFlopsModel:
     ], ids=["toy", "odd_input_reduction3", "three_stages_1x2"])
     def test_matches_macs_of_executed_layers(self, spec, hw, monkeypatch):
         # count Cin*Cout*k^2*Ho*Wo per conv and Din*Dout per affine map
-        # that one sample's forward pass actually runs
+        # that one sample's graph-free forward pass, the evaluation path
+        # FlopsModel describes, actually runs
         import resizenet.model as model_mod
         counted = []
         conv2d, affine = model_mod.conv2d, model_mod.affine
@@ -95,7 +96,8 @@ class TestFlopsModel:
             for i, g in enumerate(model.gate_modules):
                 g.b2.data[...] = 10.0 if i in open_blocks else -10.0
             counted.clear()
-            model.forward(x, 0.5)
+            with no_grad():
+                model.forward(x, 0.5)
             return sum(counted)
 
         n = model.num_blocks
@@ -135,7 +137,7 @@ class TestEvaluate:
     def test_macs_match_gate_recomputation(self, setup):
         model, dataset = setup
         fm = FlopsModel.for_model(model.spec, (8, 8))
-        result = evaluate(model, dataset, 0.5, flops_model=fm)
+        result = evaluate(model, dataset, 0.5)
         # recompute per-sample cost directly from the gathered gate rows
         gates = np.ones((len(dataset), model.num_blocks))
         np.testing.assert_array_equal(result.per_sample_macs,
