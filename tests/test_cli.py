@@ -266,6 +266,10 @@ class TestTrainCommand:
          ["means"]),
         ("dataset", {**CIFAR_DATASET, "stds": [0.2470, 0.2435, 0.2616]},
          ["stds"]),
+        ("dataset", {**CIFAR_DATASET, "stds": [0, 1, 1]}, ["stds"]),
+        ("dataset", {**CIFAR_DATASET, "stds": [NAN, 1, 1]}, ["stds"]),
+        ("dataset", {**CIFAR_DATASET, "means": [NAN, 0, 0]}, ["means"]),
+        ("dataset", {**CIFAR_DATASET, "means": 0.5}, ["means"]),
         ("train", {**SHORT_TRAIN, "p": True}, ["p must"]),
         ("train", {**SHORT_TRAIN, "optimizer": {"kind": "sgd",
                                                 "momentum": False}},
@@ -295,6 +299,8 @@ class TestTrainCommand:
             "adam_momentum_one", "weight_decay_infinite", "optimizer_null",
             "optimizer_beta1", "top_level_seed", "synthetic_noise_nan",
             "synthetic_template_scale", "cifar_means", "cifar_stds",
+            "cifar_stds_zero", "cifar_stds_nan", "cifar_means_nan",
+            "cifar_means_scalar",
             "p_true", "momentum_false", "scale_fixed_scale_true",
             "scale_range_bools", "scale_range_three", "scale_range_scalar",
             "lr_schedule_triple", "lr_schedule_scalar",
