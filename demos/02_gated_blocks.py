@@ -1,5 +1,6 @@
 """How gating works: the two gate forms, the exact-skip identity, and
-which parameters receive gradients under each form."""
+which parameters receive gradients in a joint-phase pass, where batch norm
+uses batch statistics and the backbone trains."""
 
 import numpy as np
 
@@ -47,7 +48,8 @@ print("logits == stem+head exactly:",
 print("\n== binary gates block gate-module gradients ==")
 model2 = GatedResNet(spec, np.random.default_rng(2))
 labels = rng.integers(0, 4, 2)
-logits, _ = model2.forward(xb, 0.8, modes=[GateMode.BINARY] * 3)
+logits, _ = model2.forward(xb, 0.8, modes=[GateMode.BINARY] * 3,
+                           bn_training=True)
 softmax_cross_entropy(logits, labels).backward()
 gate_grads = [p.grad for p in model2.gate_parameters()]
 conv_grads = [b.conv1.w.grad for b in model2.blocks]

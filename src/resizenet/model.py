@@ -29,7 +29,6 @@ from .tensor import (
     concat_cols,
     conv2d,
     global_avg_pool,
-    grad_enabled,
     relu,
     reshape,
     scale_features,
@@ -272,18 +271,19 @@ def gate_forward(x: Tensor, scale: float, params: GateParams, mode: GateMode,
 
 
 def _conv_bn(x: Tensor, layer: ConvBn, bn_training: bool) -> Tensor:
-    """``batch_norm(conv2d(x, w))``.  With eval batch norm and no graph
-    recorded, the norm is a per-channel affine map and runs as the conv's
-    folded weights and bias."""
+    """``batch_norm(conv2d(x, w))``.  Without ``bn_training`` the norm uses
+    the running statistics, a per-channel affine map, so the layer runs as
+    one conv with folded weights and bias, recorded or not: gradient reaches
+    ``x`` but never the layer's own tensors, which stay frozen."""
     stride, pad = layer.stride, layer.w.shape[2] // 2
-    if not bn_training and not grad_enabled():
+    if not bn_training:
         s = layer.gamma.data / np.sqrt(layer.running_var + BN_EPS)
         return conv2d(x, Tensor(layer.w.data * s[:, None, None, None]),
                       stride=stride, pad=pad,
                       bias=Tensor(layer.beta.data - layer.running_mean * s))
     return batch_norm(conv2d(x, layer.w, stride=stride, pad=pad),
                       layer.gamma, layer.beta, layer.running_mean,
-                      layer.running_var, bn_training)
+                      layer.running_var)
 
 
 def _residual_branch(x: Tensor, block: BlockParams,

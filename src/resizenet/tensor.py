@@ -76,12 +76,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-_grad_enabled = True
-
-
-def grad_enabled() -> bool:
-    """Whether ops record a graph: false inside :func:`no_grad`."""
-    return _grad_enabled
+_recording = True
 
 
 @contextmanager
@@ -93,12 +88,12 @@ def no_grad() -> Iterator[None]:
     ``xhat``) are dropped with the op.  The previous mode comes back on exit,
     also when the block raises.
     """
-    global _grad_enabled
-    prev, _grad_enabled = _grad_enabled, False
+    global _recording
+    prev, _recording = _recording, False
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _recording = prev
 
 
 def _from_op(data: np.ndarray, parents: tuple[Tensor, ...],
@@ -109,8 +104,7 @@ def _from_op(data: np.ndarray, parents: tuple[Tensor, ...],
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = _grad_enabled and any(p.requires_grad
-                                              for p in parents)
+    out.requires_grad = _recording and any(p.requires_grad for p in parents)
     out._parents = parents if out.requires_grad else ()
     out._backward_rule = rule if out.requires_grad else None
     return out
@@ -425,7 +419,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
         _require(bias.shape == (cout,),
                  f"conv2d: bias must be [{cout}], got {bias.shape}")
     k = kh
-    # requires_grad is read at recording time; phase-frozen parameters and
+    # requires_grad is read at recording time; folded (constant) weights and
     # raw input batches skip their (expensive) half of the backward work
     need_gx, need_gw = x.requires_grad, w.requires_grad
     out = _conv(x.data, w.data, stride, pad)
@@ -460,20 +454,19 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, pad: int = 0,
 
 # -- batch norm -------------------------------------------------------------
 
-BN_EPS = 1e-5  # added to the variance; the eval fold into a conv uses it too
+BN_EPS = 1e-5  # added to the variance; the fold into a conv uses it too
 BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running ones
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor,
-               running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool) -> Tensor:
+               running_mean: np.ndarray, running_var: np.ndarray) -> Tensor:
     """Per-channel batch normalization over the [B*H*W, C] view of [B,H,W,C].
 
-    Training mode normalizes by batch statistics and updates the running
-    arrays in place with ``BN_MOMENTUM``; eval mode normalizes by the
-    running statistics (freshly initialized stats are mean 0 / var 1, so an
-    untrained eval pass is well defined).  Variances are biased, matching
-    the normalization denominator.
+    Normalizes by the batch statistics and updates the running arrays in
+    place with ``BN_MOMENTUM``.  Variances are biased, matching the
+    normalization denominator.  A layer that normalizes by its running
+    statistics instead is a per-channel affine map, and the model runs it
+    as one conv with folded weights.
     """
     _require(x.data.ndim == 4, f"batch_norm: need [B,H,W,C], got {x.shape}")
     c = x.shape[3]
@@ -485,17 +478,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor,
 
     xv = x.data.reshape(-1, c)
     m = xv.shape[0]
-    if training:
-        mean = np.einsum("nc->c", xv) / m
-        xhat = xv - mean
-        var = np.einsum("nc,nc->c", xhat, xhat) / m
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mean
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var
-    else:
-        xhat = xv - running_mean
-        var = running_var
+    mean = np.einsum("nc->c", xv) / m
+    xhat = xv - mean
+    var = np.einsum("nc,nc->c", xhat, xhat) / m
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var
 
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std
@@ -506,14 +495,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta_shift: Tensor,
         gv = g.reshape(-1, c)
         dbeta = np.einsum("nc->c", gv)
         dgamma = np.einsum("nc,nc->c", gv, xhat)
-        if training:
-            # three-term formula for batch statistics; with dxhat = g*gamma,
-            # sum(dxhat) = gamma*dbeta and sum(dxhat*xhat) = gamma*dgamma
-            gx = gv - dbeta / m
-            gx -= xhat * (dgamma / m)
-            gx *= gamma.data * inv_std
-        else:
-            gx = gv * (gamma.data * inv_std)
+        # three-term formula for batch statistics; with dxhat = g*gamma,
+        # sum(dxhat) = gamma*dbeta and sum(dxhat*xhat) = gamma*dgamma
+        gx = gv - dbeta / m
+        gx -= xhat * (dgamma / m)
+        gx *= gamma.data * inv_std
         return gx.reshape(x.shape), dgamma, dbeta
 
     return _from_op(out.reshape(x.shape), (x, gamma, beta_shift), rule)

@@ -320,18 +320,14 @@ class Trainer:
         return make_optimizer(self.model.gate_parameters(), spec)
 
     def train_phase_gate_only(self) -> None:
-        """Update only the gate modules; the backbone is frozen bit-for-bit
-        and batch norm stays in eval mode so running stats survive."""
-        backbone = self.model.backbone_parameters()
-        for p in backbone:
-            p.requires_grad = False  # prune their backward work
+        """Update only the gate modules against a frozen backbone.  Batch
+        norm uses its running statistics, so every conv + batch-norm layer
+        runs folded, gets no gradient and keeps its statistics; the gate
+        optimizer holds the gate tensors alone, so the backbone stays
+        bit-for-bit unchanged."""
         steppers = [(self._gate_optimizer(), self.cfg.gate_lr_scale)]
-        try:
-            for _ in range(self.cfg.epochs_gate_only):
-                self._run_epoch("gate-only", steppers, bn_training=False)
-        finally:
-            for p in backbone:
-                p.requires_grad = True
+        for _ in range(self.cfg.epochs_gate_only):
+            self._run_epoch("gate-only", steppers, bn_training=False)
 
     def train_phase_joint(self) -> None:
         """Update every parameter; scale and gate modes are re-drawn each

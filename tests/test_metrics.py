@@ -177,8 +177,9 @@ class TestEvaluate:
         assert all(p.grad is not None for p in model.parameters())
 
     def test_runs_folded_convs_and_no_batch_norm(self, setup, monkeypatch):
-        # evaluation folds every eval batch norm into its conv: the same
-        # convs run as in a forward pass that records a graph, and no norm
+        # evaluation folds every batch norm into its conv: the convs of a
+        # training forward (one norm each) run, and no norm; a fresh model
+        # opens every gate, so both passes run every block
         import resizenet.model as model_mod
         model, dataset = setup
         calls = {"conv2d": 0, "batch_norm": 0}
@@ -188,13 +189,13 @@ class TestEvaluate:
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(model_mod, name, spy)
-        model.forward(dataset.images, 0.5)
-        graph_calls = dict(calls)
-        assert graph_calls["batch_norm"] == graph_calls["conv2d"] > 0
+        model.forward(dataset.images, 0.5, bn_training=True)
+        train_calls = dict(calls)
+        assert train_calls["batch_norm"] == train_calls["conv2d"] > 0
         calls.update(conv2d=0, batch_norm=0)
         assert len(dataset) <= EVAL_BATCH  # one batch, as in the forward
         evaluate(model, dataset, 0.5)
-        assert calls == {"conv2d": graph_calls["conv2d"], "batch_norm": 0}
+        assert calls == {"conv2d": train_calls["conv2d"], "batch_norm": 0}
 
     def test_feature_free_model_has_zero_variance(self):
         # gates that see only the scale agree on every sample, so each

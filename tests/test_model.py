@@ -14,6 +14,7 @@ from resizenet.model import (
     GateParams,
     GatedResNet,
     ModelSpec,
+    _conv_bn,
     _residual_branch,
     _shortcut,
     check_number,
@@ -24,6 +25,7 @@ from resizenet.model import (
     sample_gate_modes,
 )
 from resizenet.tensor import (
+    BN_EPS,
     Tensor,
     add,
     conv2d,
@@ -63,24 +65,11 @@ def spy_convs(monkeypatch) -> list:
     """Record (kernel size, batch rows) of every conv the model runs."""
     calls = []
 
-    def spy(x, w, stride=1, pad=0):
+    def spy(x, w, stride=1, pad=0, bias=None):
         calls.append((w.shape[2], x.shape[0]))
-        return conv2d(x, w, stride=stride, pad=pad)
+        return conv2d(x, w, stride=stride, pad=pad, bias=bias)
 
     monkeypatch.setattr(resizenet.model, "conv2d", spy)
-    return calls
-
-
-def spy_batch_norms(monkeypatch) -> list:
-    """Record every batch norm the model runs; returns the call list."""
-    calls = []
-    batch_norm = resizenet.model.batch_norm
-
-    def spy(*args, **kwargs):
-        calls.append(args[0].shape)
-        return batch_norm(*args, **kwargs)
-
-    monkeypatch.setattr(resizenet.model, "batch_norm", spy)
     return calls
 
 
@@ -319,9 +308,9 @@ class TestGatedBlockForward:
         assert convs == [(3, 3), (3, 3)]
 
     def test_open_rows_path_gradients(self):
-        # gate-only training: eval batch norm, mixed binary gate; gradients
-        # reach the input (and the frozen-in-practice weights) through the
-        # row ops
+        # gate-only training: batch norm on running statistics, mixed binary
+        # gate; gradients reach the input through the row ops and the folded
+        # convs, and never the frozen weights
         rng = np.random.default_rng(13)
         x = Tensor(self.x.data.copy(), requires_grad=True)
         r = Tensor(rng.standard_normal(self.x.shape))
@@ -334,7 +323,8 @@ class TestGatedBlockForward:
             return sum_all(mul(gated_block_forward(
                 x, self.block, gate, GateMode.BINARY), r))
 
-        assert grad_check(loss, [x, self.block.conv1.w]) < 1e-4
+        assert grad_check(loss, [x]) < 1e-4
+        assert self.block.conv1.w.grad is None
 
     def test_sigmoid_gate_is_never_skipped(self, monkeypatch):
         calls = spy_branch(monkeypatch)
@@ -395,7 +385,8 @@ class TestGatedResNetForward:
         x = rng.standard_normal((4, 3, 8, 8))
         labels = rng.integers(0, 4, 4)
         logits, record = model.forward(x, 0.8,
-                                       modes=[GateMode.BINARY] * 4)
+                                       modes=[GateMode.BINARY] * 4,
+                                       bn_training=True)
         assert record.gates.min() == 1.0  # fresh init opens all gates
         softmax_cross_entropy(logits, labels).backward()
         for p in model.gate_parameters():
@@ -440,8 +431,12 @@ class TestGatedResNetForward:
 
 
 class TestFoldedEvalBatchNorm:
-    """Graph-free eval runs each conv + eval batch norm as one conv with
-    folded weights and a bias; it must agree with the unfolded pass."""
+    """A layer on running statistics runs as one conv with folded weights
+    and a bias, whether or not a graph is recorded."""
+
+    LAYERS = pytest.mark.parametrize(
+        "k,stride", [(3, 1), (3, 2), (1, 2)],
+        ids=["3x3", "3x3-stride2", "1x1-projection"])
 
     @staticmethod
     def randomize_bn(layers, rng):
@@ -454,17 +449,50 @@ class TestFoldedEvalBatchNorm:
             bn.running_mean[...] = rng.standard_normal(c) * 0.5
             bn.running_var[...] = rng.uniform(0.2, 3.0, c)
 
-    def test_no_grad_forward_matches_batch_norm_forward(self, monkeypatch):
+    def make_layer(self, k, stride, seed):
+        rng = np.random.default_rng(seed)
+        layer = ConvBn.create(5, 7, k, stride, rng)
+        self.randomize_bn([layer], rng)
+        x = Tensor(rng.standard_normal((3, 8, 7, 5)), requires_grad=True)
+        return layer, x, rng
+
+    @LAYERS
+    @pytest.mark.parametrize("record", [True, False],
+                             ids=["graph", "no_grad"])
+    def test_fold_normalizes_by_running_statistics(self, k, stride, record):
+        layer, x, _ = self.make_layer(k, stride, 54)
+        mean, var = layer.running_mean.copy(), layer.running_var.copy()
+        with contextlib.nullcontext() if record else no_grad():
+            out = _conv_bn(x, layer, False)
+        assert out.requires_grad == record
+        raw = conv2d(x, layer.w, stride=stride, pad=k // 2).data
+        ref = (raw - mean) / np.sqrt(var + BN_EPS) * layer.gamma.data \
+            + layer.beta.data
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(layer.running_mean, mean)
+        np.testing.assert_array_equal(layer.running_var, var)
+
+    @LAYERS
+    def test_fold_passes_gradient_to_input_only(self, k, stride):
+        layer, x, rng = self.make_layer(k, stride, 55)
+        r = Tensor(rng.standard_normal(_conv_bn(x, layer, False).shape))
+        err = grad_check(lambda: sum_all(mul(_conv_bn(x, layer, False), r)),
+                         [x])
+        assert err < 1e-4
+        assert layer.w.grad is None
+        assert layer.gamma.grad is None and layer.beta.grad is None
+
+    def test_no_grad_forward_matches_batch_norm_forward(self):
         spec = ModelSpec(stage_blocks=(2, 2), channels=(6, 10),
                          num_classes=4)
         model = GatedResNet(spec, np.random.default_rng(50))
         rng = np.random.default_rng(51)
         self.randomize_bn(
             [layer for _, _, layer in model._conv_bn_layers()], rng)
-        x = rng.standard_normal((16, 3, 8, 7))
+        x = Tensor(rng.standard_normal((16, 3, 8, 7)), requires_grad=True)
         # centre every gate head on its block input at S=0.5, so that the
         # gates open for about half of the samples
-        h = model._stem(Tensor(x), False)
+        h = model._stem(x, False)
         for block, gp in zip(model.blocks, model.gate_modules):
             gp.w2.data[...] = rng.standard_normal(gp.w2.shape) * 3.0
             s = gate_forward(h, 0.5, gp, GateMode.SIGMOID).data
@@ -472,40 +500,33 @@ class TestFoldedEvalBatchNorm:
             gate = gate_forward(h, 0.5, gp, GateMode.BINARY)
             h = gated_block_forward(h, block, gate, GateMode.BINARY)
         assert any(b.proj is not None for b in model.blocks)
-        bn_calls = spy_batch_norms(monkeypatch)
         mixed = 0
         for scale in (0.0, 0.5, 1.0):
             ref_logits, ref_record = model.forward(x, scale)
-            assert bn_calls
-            bn_calls.clear()
+            assert ref_logits.requires_grad
             with no_grad():
                 logits, record = model.forward(x, scale)
-            assert not bn_calls
             np.testing.assert_array_equal(record.gates, ref_record.gates)
-            np.testing.assert_allclose(logits.data, ref_logits.data,
-                                       rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(logits.data, ref_logits.data)
             g = record.gates
             mixed += int(np.sum((g.min(axis=0) == 0) & (g.max(axis=0) == 1)))
         assert mixed > 0  # some block ran its branch on a subset of rows
 
     @pytest.mark.parametrize("c_out,stride", [(6, 1), (12, 2)],
                              ids=["identity", "projection"])
-    def test_mixed_gate_block_matches_batch_norm(self, monkeypatch, c_out,
-                                                 stride):
+    def test_mixed_gate_block_matches_batch_norm(self, c_out, stride):
         block = make_block(6, c_out, stride=stride,
                            rng=np.random.default_rng(52))
         rng = np.random.default_rng(53)
         self.randomize_bn([block.conv1, block.conv2, block.proj], rng)
-        x = Tensor(np.maximum(rng.standard_normal((3, 8, 7, 6)), 0.0))
+        x = Tensor(np.maximum(rng.standard_normal((3, 8, 7, 6)), 0.0),
+                   requires_grad=True)
         gate = Tensor([1.0, 0.0, 1.0])
-        bn_calls = spy_batch_norms(monkeypatch)
         ref = gated_block_forward(x, block, gate, GateMode.BINARY)
-        assert len(bn_calls) == 2 + (block.proj is not None)
-        bn_calls.clear()
+        assert ref.requires_grad
         with no_grad():
             out = gated_block_forward(x, block, gate, GateMode.BINARY)
-        assert not bn_calls
-        np.testing.assert_allclose(out.data, ref.data, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(out.data, ref.data)
 
 
 class TestRandomDropForward:

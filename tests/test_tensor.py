@@ -425,14 +425,14 @@ class TestBatchNorm:
             / x.std(axis=(0, 1, 2), keepdims=True)
         rm, rv = self._stats(3)
         out = batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                         rm, rv, training=True)
+                         rm, rv)
         np.testing.assert_allclose(out.data, x, atol=1e-4)
 
     def test_constant_channel_gives_shift(self):
         x = Tensor(np.full((4, 3, 5, 2), 7.0))
         rm, rv = self._stats(2)
         shift = Tensor([1.5, -0.5])
-        out = batch_norm(x, Tensor(np.ones(2)), shift, rm, rv, training=True)
+        out = batch_norm(x, Tensor(np.ones(2)), shift, rm, rv)
         np.testing.assert_allclose(out.data[..., 0], 1.5, atol=1e-8)
         np.testing.assert_allclose(out.data[..., 1], -0.5, atol=1e-8)
 
@@ -442,7 +442,7 @@ class TestBatchNorm:
         x = rng.standard_normal((16, 8, 7, 4)) * 30.0 + 1.0
         rm, rv = self._stats(4)
         out = batch_norm(Tensor(x), Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                         rm, rv, training=True)
+                         rm, rv)
         np.testing.assert_allclose(out.data.mean(axis=(0, 1, 2)), 0.0,
                                    atol=1e-10)
         np.testing.assert_allclose(out.data.var(axis=(0, 1, 2)), 1.0,
@@ -453,20 +453,11 @@ class TestBatchNorm:
         x = rng.standard_normal((8, 4, 5, 2)) + 5.0
         rm, rv = self._stats(2)
         batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                   rm, rv, training=True)
+                   rm, rv)
         expect_rm = 0.1 * x.mean(axis=(0, 1, 2))
         expect_rv = 0.9 + 0.1 * x.var(axis=(0, 1, 2))
         np.testing.assert_allclose(rm, expect_rm)
         np.testing.assert_allclose(rv, expect_rv)
-
-    def test_eval_before_train_uses_initial_stats(self):
-        rng = np.random.default_rng(15)
-        x = rng.standard_normal((4, 3, 5, 2))
-        rm, rv = self._stats(2)
-        out = batch_norm(Tensor(x), Tensor(np.ones(2)), Tensor(np.zeros(2)),
-                         rm, rv, training=False)
-        np.testing.assert_allclose(out.data, x / np.sqrt(1 + 1e-5))
-        np.testing.assert_array_equal(rm, np.zeros(2))
 
     def test_train_mode_gradients(self):
         # weight the output by fixed random values: sum(y*y) is almost
@@ -479,39 +470,21 @@ class TestBatchNorm:
 
         def loss():
             rm, rv = self._stats(2)
-            y = batch_norm(x, gamma, shift, rm, rv, training=True)
+            y = batch_norm(x, gamma, shift, rm, rv)
             return sum_all(mul(y, r))
 
         assert grad_check(loss, [x, gamma, shift]) < 1e-4
 
-    def test_eval_mode_gradients(self):
-        rng = np.random.default_rng(17)
-        x = Tensor(rng.standard_normal((4, 3, 5, 2)), requires_grad=True)
-        gamma = Tensor(rng.uniform(0.5, 1.5, 2), requires_grad=True)
-        shift = Tensor(rng.standard_normal(2), requires_grad=True)
-        rm = rng.standard_normal(2)
-        rv = rng.uniform(0.5, 2.0, 2)
-
-        def loss():
-            y = batch_norm(x, gamma, shift, rm.copy(), rv.copy(),
-                           training=False)
-            return sum_all(mul(y, y))
-
-        assert grad_check(loss, [x, gamma, shift]) < 1e-4
-
-    @pytest.mark.parametrize("training", [True, False])
-    def test_gradients_single_non_square_sample(self, training):
+    def test_gradients_single_non_square_sample(self):
         rng = np.random.default_rng(18)
         x = Tensor(rng.standard_normal((1, 2, 5, 3)), requires_grad=True)
         gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
         shift = Tensor(rng.standard_normal(3), requires_grad=True)
         r = Tensor(rng.standard_normal((1, 2, 5, 3)))
-        rm = rng.standard_normal(3)
-        rv = rng.uniform(0.5, 2.0, 3)
 
         def loss():
-            y = batch_norm(x, gamma, shift, rm.copy(), rv.copy(),
-                           training=training)
+            rm, rv = self._stats(3)
+            y = batch_norm(x, gamma, shift, rm, rv)
             return sum_all(mul(y, r))
 
         assert grad_check(loss, [x, gamma, shift]) < 1e-4

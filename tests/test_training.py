@@ -216,10 +216,15 @@ class TestGateOnlyPhase:
         Trainer(model, train, None, cfg).train_phase_gate_only()
         assert parameter_checksum(model.gate_parameters()) != before
 
-    def test_requires_grad_restored(self):
-        model, train, val, cfg = small_setup()
+    def test_conv_bn_layers_get_no_gradient(self):
+        # every conv + batch-norm layer runs folded: backward reaches the
+        # gates through the backbone but never the layers' own tensors
+        model, train, val, cfg = small_setup(p=1.0)
         Trainer(model, train, None, cfg).train_phase_gate_only()
-        assert all(p.requires_grad for p in model.backbone_parameters())
+        assert all(p.grad is not None for p in model.gate_parameters())
+        for _, _, layer in model._conv_bn_layers():
+            assert layer.w.grad is None
+            assert layer.gamma.grad is None and layer.beta.grad is None
 
     def test_scale_loss_decreases_early(self):
         model, train, val, cfg = small_setup(
