@@ -4,8 +4,10 @@ the per-block usage map and the scale-to-cost calibration), and ``resolve``
 maps a compute budget back to a scale through that calibration.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
-3 numeric divergence.  All outputs land under the chosen output directory;
-reruns with the same config and seed produce byte-identical files.
+3 numeric divergence.  The library returns values and this module writes
+every run output, through one JSON and one CSV writer, under the chosen
+output directory; reruns with the same config and seed produce
+byte-identical files.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,14 +37,12 @@ from .metrics import (
     budget_to_scale,
     evaluate,
     monotone_envelope,
-    read_calibration_json,
-    write_calibration_json,
-    write_usage_map_csv,
 )
 from .model import GatedResNet, GateMode, ModelSpec, check_number
 from .tensor import NonFiniteError
 from .training import (
     DivergenceError,
+    EpochRow,
     FixedScaleConfig,
     OptimizerSpec,
     TrainConfig,
@@ -156,6 +156,22 @@ def _json_or_file(value: str) -> dict:
         ) from exc
 
 
+def _write_json(path, doc) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path, rows) -> None:
+    """One LF-terminated line per row.  A float, ``np.float64`` included,
+    is written as the repr of a Python float, since numpy 2's repr of
+    ``np.float64`` is not a number; any other cell as ``str``."""
+    with open(path, "w", newline="\n") as fh:
+        for row in rows:
+            fh.write(",".join(repr(float(v)) if isinstance(v, float)
+                              else str(v) for v in row) + "\n")
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -177,10 +193,19 @@ def cmd_train(args) -> int:
     else:
         model = GatedResNet(spec, np.random.default_rng(cfg.seed))
 
-    trainer = Trainer(model, train_data, val_data, cfg, out_dir=out_dir)
-    report = trainer.run()
-    last = report.rows[-1]
-    print(f"trained {len(report.rows)} epochs; "
+    rows = Trainer(model, train_data, val_data, cfg).run().rows
+    os.makedirs(out_dir, exist_ok=True)
+    ckpt = os.path.join(out_dir, "model.ckpt")
+    save_checkpoint(ckpt, model, train_state={"epoch": len(rows)})
+    _write_csv(os.path.join(out_dir, "epochs.csv"),
+               [[f.name for f in fields(EpochRow)], *map(astuple, rows)])
+    last = rows[-1]
+    _write_json(os.path.join(out_dir, "summary.json"), {
+        "epochs": len(rows), "final_val_accuracy": last.val_accuracy,
+        "final_loss": last.loss_total, "final_mean_usage": last.mean_usage,
+        "baseline_mode": cfg.baseline_mode, "beta": cfg.beta, "p": cfg.p,
+        "seed": cfg.seed, "checkpoint": ckpt})
+    print(f"trained {len(rows)} epochs; "
           f"final val accuracy {last.val_accuracy:.4f}, "
           f"mean usage {last.mean_usage:.2f}/{model.num_blocks}")
     print(f"outputs in {out_dir}")
@@ -216,39 +241,34 @@ def cmd_eval(args) -> int:
         seconds.append(time.perf_counter() - t0)
 
     rows = [r.summary() for r in results]
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "eval.csv"), "w") as fh:
-        fields = ("scale", "accuracy", "usage_mean", "usage_std",
-                  "flops_mean", "flops_std")
-        fh.write(",".join(fields) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(row[f])) for f in fields) + "\n")
-    with open(os.path.join(args.out, "eval.json"), "w") as fh:
-        json.dump({"gate_override": args.gate_override, "rows": rows,
-                   "gate_overhead_ratio": fm.gate_overhead_ratio},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    # eval.csv's columns are summary()'s keys, in order
+    _write_csv(out / "eval.csv", [list(rows[0]), *map(dict.values, rows)])
+    _write_json(out / "eval.json", {
+        "gate_override": args.gate_override, "rows": rows,
+        "gate_overhead_ratio": fm.gate_overhead_ratio})
     # wall time varies run to run, so it stays out of eval.csv/eval.json
-    with open(os.path.join(args.out, "timing.json"), "w") as fh:
-        json.dump({"rows": [
-            {"scale": row["scale"], "flops_mean": row["flops_mean"],
-             "ms_per_sample": 1000.0 * sec / r.stats.n_samples}
-            for row, r, sec in zip(rows, results, seconds)]},
-            fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_usage_map_csv(
-        os.path.join(args.out, "usage_map.csv"), grid,
-        np.stack([r.stats.per_block_usage for r in results], axis=1))
+    _write_json(out / "timing.json", {"rows": [
+        {"scale": row["scale"], "flops_mean": row["flops_mean"],
+         "ms_per_sample": 1000.0 * sec / r.stats.n_samples}
+        for row, r, sec in zip(rows, results, seconds)]})
+    # a header row of scales, then one row of mean gate values per block
+    _write_csv(out / "usage_map.csv", [grid, *np.stack(
+        [r.stats.per_block_usage for r in results], axis=1)])
     # resolve maps budgets for the binary gates that serving runs, so a
     # sigmoid sweep writes no calibration and removes a stale one
-    calibration = Path(args.out, "calibration.json")
+    calibration = out / "calibration.json"
     if override is None:
         table, changed = monotone_envelope(
             [(s, r.stats.macs_mean) for s, r in zip(grid, results)])
         if changed:
             print("warning: calibration was not monotone; envelope applied",
                   file=sys.stderr)
-        write_calibration_json(calibration, table, fm)
+        _write_json(calibration, {
+            "entries": [{"scale": s, "flops_mean": f} for s, f in table],
+            "fixed_flops": fm.fixed_macs, "total_flops": fm.total_macs,
+            "gate_overhead_ratio": fm.gate_overhead_ratio})
     else:
         calibration.unlink(missing_ok=True)
     for row in rows:
@@ -262,8 +282,10 @@ def cmd_resolve(args) -> int:
     if math.isnan(args.budget):
         raise ConfigError("--budget must be a number, not nan")
     try:
-        scale = budget_to_scale(read_calibration_json(args.calibration),
-                                args.budget)
+        with open(args.calibration) as fh:
+            entries = json.load(fh)["entries"]
+        scale = budget_to_scale(
+            [(e["scale"], e["flops_mean"]) for e in entries], args.budget)
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DatasetFormatError(
             f"{args.calibration}: not a calibration table: {exc!r}") from exc
@@ -315,7 +337,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        # the engine checks every op's output, so a numpy overflow surfaces
+        # as NonFiniteError; its RuntimeWarning would only precede that
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (DatasetFormatError, CheckpointError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

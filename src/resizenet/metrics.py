@@ -5,7 +5,6 @@ a compute budget back to a scale setting.
 """
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -152,14 +151,6 @@ def evaluate(model: GatedResNet, dataset, scale: float, *,
                       per_sample_macs=macs)
 
 
-def write_usage_map_csv(path, s_grid, matrix: np.ndarray) -> None:
-    """Header row of scale values, then one row per block."""
-    with open(path, "w") as fh:
-        fh.write(",".join(repr(float(s)) for s in s_grid) + "\n")
-        for row in matrix:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def budget_to_scale(calibration: list[tuple[float, float]],
                     budget: float) -> float:
     """Largest scale whose interpolated mean cost fits the budget.
@@ -201,19 +192,3 @@ def monotone_envelope(calibration: list[tuple[float, float]]
         running = f
         out.append((s, f))
     return out, changed
-
-
-def write_calibration_json(path, calibration, fm: FlopsModel) -> None:
-    doc = {"entries": [{"scale": s, "flops_mean": f} for s, f in calibration],
-           "fixed_flops": fm.fixed_macs,
-           "total_flops": fm.total_macs,
-           "gate_overhead_ratio": fm.gate_overhead_ratio}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def read_calibration_json(path) -> list[tuple[float, float]]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return [(e["scale"], e["flops_mean"]) for e in doc["entries"]]

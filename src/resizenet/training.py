@@ -5,18 +5,19 @@ Supports three regimes selected by the config: ranged training (scale drawn
 uniformly per iteration), fixed-scale compression (cosine-annealed target
 with optional clamped Gaussian noise), and the random-drop baseline that
 finetunes a plain backbone under uniformly dropped blocks.
+
+Training writes no files: ``Trainer.run`` updates the model in place and
+returns one ``EpochRow`` per epoch; persisting them (and the model, through
+``data.save_checkpoint``) is the caller's job.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
-import os
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, augment_batch, save_checkpoint
+from .data import Dataset, augment_batch
 from .metrics import evaluate
 from .model import (GatedResNet, check_number, random_drop_forward,
                     sample_gate_modes)
@@ -25,7 +26,7 @@ from .tensor import NonFiniteError, Tensor, softmax_cross_entropy
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
+    """A training step or validation pass produced a non-finite value."""
 
 
 def _check_pair(name: str, value) -> tuple | list:
@@ -160,21 +161,6 @@ class EpochRow:
 @dataclass
 class TrainReport:
     rows: list[EpochRow] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(f.name for f in fields(EpochRow))
-            for row in self.rows:
-                # losses are np.float64, whose numpy-2 repr is not a number
-                writer.writerow([repr(float(v)) if isinstance(v, float)
-                                 else v for v in astuple(row)])
-
-    def write_summary(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def usage_slope(scales, usages) -> float:
@@ -282,16 +268,16 @@ class Trainer:
     Three seeded generators keep the runs reproducible and independent:
     one for batch order and augmentation, one for gate-mode draws, one for
     scale draws (shared with baseline block drops and annealing noise).
+    Trains ``model`` in place and writes nothing; ``report.rows`` holds one
+    row per epoch run so far.
     """
 
     def __init__(self, model: GatedResNet, train_data: Dataset,
-                 val_data: Dataset | None, cfg: TrainConfig,
-                 out_dir: str | None = None):
+                 val_data: Dataset | None, cfg: TrainConfig):
         self.model = model
         self.train_data = train_data
         self.val_data = val_data
         self.cfg = cfg
-        self.out_dir = out_dir
         ss = np.random.SeedSequence(cfg.seed)
         data_seed, gate_seed, scale_seed = ss.spawn(3)
         self.data_rng = np.random.default_rng(data_seed)
@@ -304,15 +290,15 @@ class Trainer:
 
     def run(self) -> TrainReport:
         """Full schedule: gate-only phase then joint phase, or the
-        random-drop baseline when configured.  Writes the per-epoch CSV,
-        summary JSON, and a checkpoint when an output directory is set."""
+        random-drop baseline when configured.  Returns the report; a
+        non-finite value in any epoch, its validation pass included, raises
+        ``DivergenceError`` naming the epoch."""
         if self.cfg.baseline_mode == "random_drop":
             self.train_baseline()
         else:
             if self.cfg.epochs_gate_only > 0:
                 self.train_phase_gate_only()
             self.train_phase_joint()
-        self._finalize()
         return self.report
 
     def _gate_optimizer(self):
@@ -372,15 +358,17 @@ class Trainer:
         scale_sum = 0.0
         usages, scales = [], []  # per batch, for the usage-on-scale slope
 
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            xb = self.train_data.images[idx]
-            if self.train_data.augment:
-                xb = augment_batch(xb, self.data_rng)
-            yb = self.train_data.labels[idx]
-            scale = self._draw_scale()
+        # every op checks its output, so a diverging step or validation
+        # pass raises NonFiniteError
+        try:
+            for start in range(0, len(order), cfg.batch_size):
+                idx = order[start:start + cfg.batch_size]
+                xb = self.train_data.images[idx]
+                if self.train_data.augment:
+                    xb = augment_batch(xb, self.data_rng)
+                yb = self.train_data.labels[idx]
+                scale = self._draw_scale()
 
-            try:
                 if random_drop:
                     logits, kept = random_drop_forward(
                         self.model, xb, scale, self.scale_rng,
@@ -396,30 +384,26 @@ class Trainer:
                     loss, breakdown = total_loss(logits, yb, record, scale,
                                                  cfg.beta)
                     usage = float(record.gates.sum(axis=1).mean())
-                if not math.isfinite(breakdown.total):
-                    raise DivergenceError(
-                        f"loss became non-finite at epoch {self._epoch}: "
-                        f"{breakdown}")
-            except NonFiniteError as exc:
-                raise DivergenceError(
-                    f"non-finite values at epoch {self._epoch}, "
-                    f"phase {phase}: {exc}") from exc
 
-            self.model.zero_grads()
-            loss.backward()
-            for optimizer, lr_mult in steppers:
-                optimizer.step(lr * lr_mult)
+                self.model.zero_grads()
+                loss.backward()
+                for optimizer, lr_mult in steppers:
+                    optimizer.step(lr * lr_mult)
 
-            n_batches += 1
-            loss_sum += (breakdown.total, breakdown.classification,
-                         breakdown.scale)
-            correct += int((np.argmax(logits.data, axis=1) == yb).sum())
-            usage_sum += usage
-            scale_sum += scale
-            usages.append(usage)
-            scales.append(scale)
+                n_batches += 1
+                loss_sum += (breakdown.total, breakdown.classification,
+                             breakdown.scale)
+                correct += int((np.argmax(logits.data, axis=1) == yb).sum())
+                usage_sum += usage
+                scale_sum += scale
+                usages.append(usage)
+                scales.append(scale)
 
-        val_acc = self._val_accuracy()
+            val_acc = self._val_accuracy()
+        except NonFiniteError as exc:
+            raise DivergenceError(
+                f"non-finite values at epoch {self._epoch}, "
+                f"phase {phase}: {exc}") from exc
         self.report.rows.append(EpochRow(
             epoch=self._epoch, phase=phase, lr=lr,
             loss_total=loss_sum[0] / n_batches,
@@ -437,28 +421,6 @@ class Trainer:
             return math.nan
         scale = self.cfg.scale_fixed.scale if self.cfg.scale_fixed else 1.0
         return evaluate(self.model, self.val_data, scale).accuracy
-
-    def _finalize(self) -> None:
-        last = self.report.rows[-1]
-        self.report.summary = {
-            "epochs": len(self.report.rows),
-            "final_val_accuracy": last.val_accuracy,
-            "final_loss": last.loss_total,
-            "final_mean_usage": last.mean_usage,
-            "baseline_mode": self.cfg.baseline_mode,
-            "beta": self.cfg.beta,
-            "p": self.cfg.p,
-            "seed": self.cfg.seed,
-        }
-        if self.out_dir:
-            os.makedirs(self.out_dir, exist_ok=True)
-            ckpt = os.path.join(self.out_dir, "model.ckpt")
-            save_checkpoint(ckpt, self.model,
-                            train_state={"epoch": self._epoch})
-            self.report.summary["checkpoint"] = ckpt
-            self.report.write_csv(os.path.join(self.out_dir, "epochs.csv"))
-            self.report.write_summary(
-                os.path.join(self.out_dir, "summary.json"))
 
 
 def parameter_checksum(params) -> float:

@@ -10,6 +10,7 @@ import pytest
 
 from resizenet.cli import (
     EXIT_DATA,
+    EXIT_DIVERGED,
     EXIT_OK,
     EXIT_USAGE,
     ConfigError,
@@ -141,6 +142,16 @@ class TestTrainCommand:
         for name in ("model.ckpt", "epochs.csv", "summary.json"):
             assert (out / name).exists(), name
 
+    def test_rerun_writes_identical_bytes(self, run_config, tmp_path):
+        names = ("model.ckpt", "epochs.csv", "summary.json")
+        blobs = []
+        for _ in range(2):
+            assert main(["train", "--config", str(run_config),
+                         "--out", str(tmp_path / "run")]) == EXIT_OK
+            blobs.append([(tmp_path / "run" / name).read_bytes()
+                          for name in names])
+        assert blobs[0] == blobs[1]
+
     def test_missing_out_dir_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"model": SMALL_MODEL}))
@@ -217,6 +228,17 @@ class TestTrainCommand:
         assert [row["mean_scale"] for row in rows] == ["0.5", "0.5"]
         # every batch draws the same scale, so no slope is defined
         assert [row["usage_slope"] for row in rows] == ["nan", "nan"]
+
+    def test_divergence_exits_3_with_one_line(self, run_config, capsys):
+        # numpy's overflow warning is an error under pytest, as in CI;
+        # main must still report the divergence itself
+        path = self._config_with_train(
+            run_config, epochs_total=1, epochs_gate_only=0,
+            optimizer={"kind": "sgd", "momentum": 0.0},
+            lr_schedule=[[0, 1e200]])
+        assert main(["train", "--config", str(path)]) == EXIT_DIVERGED
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("diverged: ")
 
     @pytest.mark.parametrize("section,value,words", [
         ("train", [1, 2], ["train"]),
@@ -569,6 +591,17 @@ class TestUsageMapOutput:
             (tmp_path / "e" / "eval.json").read_text())["rows"]
         for j, row in enumerate(rows):
             assert abs(matrix[:, j].sum() - row["usage_mean"]) < 1e-12
+
+
+def test_csv_outputs_end_lines_in_lf(run_config, checkpoint, dataset_spec,
+                                     tmp_path):
+    assert main(["train", "--config", str(run_config)]) == EXIT_OK
+    assert main(["eval", "--checkpoint", checkpoint, "--dataset",
+                 dataset_spec, "--grid", "0.5", "1.0",
+                 "--out", str(tmp_path / "e")]) == EXIT_OK
+    for path in (tmp_path / "run" / "epochs.csv", tmp_path / "e" / "eval.csv",
+                 tmp_path / "e" / "usage_map.csv"):
+        assert b"\r" not in path.read_bytes(), path.name
 
 
 class TestCalibrateResolve:

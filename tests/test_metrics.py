@@ -10,7 +10,6 @@ from resizenet.metrics import (
     budget_to_scale,
     evaluate,
     monotone_envelope,
-    write_usage_map_csv,
 )
 from resizenet.model import GatedResNet, GateMode, ModelSpec
 from resizenet.tensor import no_grad, softmax_cross_entropy
@@ -222,17 +221,6 @@ class TestEvaluate:
                         labels=np.zeros(0, dtype=int), split="test")
         with pytest.raises(ValueError, match="empty"):
             evaluate(model, empty, 0.5)
-
-
-class TestUsageMap:
-    def test_csv_roundtrip(self, tmp_path):
-        grid = [0.2, 0.6, 1.0]
-        matrix = np.array([[0.0, 0.5, 1.0], [1.0, 1.0, 1.0]])
-        path = tmp_path / "map.csv"
-        write_usage_map_csv(path, grid, matrix)
-        table = np.loadtxt(path, delimiter=",")
-        assert table[0].tolist() == grid
-        np.testing.assert_array_equal(table[1:], matrix)
 
 
 class TestBudgetToScale:
