@@ -193,8 +193,9 @@ def cmd_train(args) -> int:
     else:
         model = GatedResNet(spec, np.random.default_rng(cfg.seed))
 
-    rows = Trainer(model, train_data, val_data, cfg).run().rows
+    # made before the schedule runs, so an unusable --out fails at once
     os.makedirs(out_dir, exist_ok=True)
+    rows = Trainer(model, train_data, val_data, cfg).run().rows
     ckpt = os.path.join(out_dir, "model.ckpt")
     save_checkpoint(ckpt, model, train_state={"epoch": len(rows)})
     _write_csv(os.path.join(out_dir, "epochs.csv"),
@@ -228,6 +229,8 @@ def cmd_eval(args) -> int:
                           f"checkpoint's model outputs "
                           f"{model.spec.num_classes}")
     grid = _parse_grid(args.grid)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # before the sweep, as in train
     fm = FlopsModel.for_model(model.spec, dataset.images.shape[2:])
     # one untimed batch takes the one-off start-up costs (BLAS, memory
     # pools) that would otherwise be timed at grid[0]
@@ -241,8 +244,6 @@ def cmd_eval(args) -> int:
         seconds.append(time.perf_counter() - t0)
 
     rows = [r.summary() for r in results]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # eval.csv's columns are summary()'s keys, in order
     _write_csv(out / "eval.csv", [list(rows[0]), *map(dict.values, rows)])
     _write_json(out / "eval.json", {

@@ -247,9 +247,15 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _require(w.shape[1] == b.shape[0],
              f"affine: bias length {b.shape[0]} != output dim {w.shape[1]}")
     out = x.data @ w.data + b.data
+    # read at recording time, as conv2d does: a parent that needs no
+    # gradient gets None, and its GEMM is never run
+    need_gx, need_gw, need_gb = (x.requires_grad, w.requires_grad,
+                                 b.requires_grad)
 
     def rule(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+        return (g @ w.data.T if need_gx else None,
+                x.data.T @ g if need_gw else None,
+                g.sum(axis=0) if need_gb else None)
 
     return _from_op(out, (x, w, b), rule)
 
@@ -381,10 +387,43 @@ def _col_blocks(x: np.ndarray, k: int, stride: int, pad: int) -> Iterator:
                _im2col(x[i:i + step], k, stride, pad))
 
 
+def _dense_map(w: np.ndarray, h: int, width: int, stride: int,
+               pad: int) -> np.ndarray:
+    """The conv on an h x width map as one [h*width*C, Ho*Wo*Cout] matrix.
+
+    Output pixel (oh, ow) reads input pixel (oh*stride - pad + i,
+    ow*stride - pad + j) through tap (i, j); taps that land in the padding
+    are left out, so the matrix holds only the taps that touch the map.
+    """
+    cout, c, k = w.shape[0], w.shape[1], w.shape[2]
+    ho, wo = ((n + 2 * pad - k) // stride + 1 for n in (h, width))
+    taps = w.transpose(2, 3, 1, 0)  # [k, k, C, Cout]
+    m = np.zeros((h, width, c, ho, wo, cout))
+    for oh in range(ho):
+        r0 = oh * stride - pad
+        hs = slice(max(r0, 0), min(r0 + k, h))
+        for ow in range(wo):
+            c0 = ow * stride - pad
+            ws = slice(max(c0, 0), min(c0 + k, width))
+            m[hs, ws, :, oh, ow] = taps[hs.start - r0:hs.stop - r0,
+                                        ws.start - c0:ws.stop - c0]
+    return m.reshape(h * width * c, ho * wo * cout)
+
+
 def _conv(x: np.ndarray, w: np.ndarray, stride: int, pad: int) -> np.ndarray:
-    """Array-level conv: [B,H,W,C] -> [B,Ho,Wo,Cout], columns in blocks."""
-    b, cout, k = x.shape[0], w.shape[0], w.shape[2]
-    ho, wo = ((n + 2 * pad - k) // stride + 1 for n in x.shape[1:3])
+    """Array-level conv: [B,H,W,C] -> [B,Ho,Wo,Cout].
+
+    A map with no more pixels than the kernel has taps (H*W <= k*k) runs as
+    one GEMM with :func:`_dense_map`: it costs H*W*C*Ho*Wo*Cout MACs against
+    im2col's Ho*Wo*k*k*C*Cout, and builds no columns.  Larger maps build
+    their columns in blocks.
+    """
+    b, h, width, _ = x.shape
+    cout, k = w.shape[0], w.shape[2]
+    ho, wo = ((n + 2 * pad - k) // stride + 1 for n in (h, width))
+    if h * width <= k * k:
+        return (x.reshape(b, -1) @ _dense_map(w, h, width, stride, pad)
+                ).reshape(b, ho, wo, cout)
     wm = _weight_matrix(w)
     out = np.empty((b * ho * wo, cout))
     for rows, cols in _col_blocks(x, k, stride, pad):

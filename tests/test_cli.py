@@ -8,6 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from resizenet import cli
 from resizenet.cli import (
     EXIT_DATA,
     EXIT_DIVERGED,
@@ -392,6 +393,20 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "warm2")])
         assert code == EXIT_DATA
 
+    def test_out_under_regular_file_fails_before_training(
+            self, run_config, tmp_path, monkeypatch, capsys):
+        # the output directory is made before the schedule, so an unusable
+        # --out exits 2 without training first
+        ran = []
+        monkeypatch.setattr(
+            cli.Trainer, "run", lambda self: ran.append(self) or self)
+        (tmp_path / "file").write_text("")
+        code = main(["train", "--config", str(run_config),
+                     "--out", str(tmp_path / "file" / "run")])
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert ran == []
+
 
 class TestEvalCommand:
     def test_eval_writes_csv_schema(self, checkpoint, dataset_spec,
@@ -464,6 +479,19 @@ class TestEvalCommand:
         assert code == EXIT_USAGE
         assert "9 classes" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_out_under_regular_file_fails_before_the_sweep(
+            self, checkpoint, dataset_spec, tmp_path, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(cli, "evaluate",
+                            lambda *args, **kwargs: ran.append(args))
+        (tmp_path / "file").write_text("")
+        code = main(["eval", "--checkpoint", checkpoint,
+                     "--dataset", dataset_spec, "--grid", "0.5",
+                     "--out", str(tmp_path / "file" / "eval")])
+        assert code == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+        assert ran == []
 
     def test_missing_checkpoint_is_data_error(self, dataset_spec, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.ckpt"),

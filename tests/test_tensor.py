@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import resizenet.tensor
+from resizenet.model import GatedResNet, GateMode, ModelSpec
 from resizenet.tensor import (
     NonFiniteError,
     ShapeError,
@@ -79,6 +80,29 @@ def spy_im2col_rows(monkeypatch) -> list:
     return rows
 
 
+def assert_conv_adjoint(h, width, k, pad, stride):
+    """conv is bilinear: <conv(x, w), y> == <x, dx> == <w, dw>."""
+    rng = np.random.default_rng(41)
+    x = Tensor(nhwc(rng.standard_normal((2, 3, h, width))), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3, k, k)), requires_grad=True)
+    ref = naive_conv2d(nchw(x.data), w.data, stride=stride, pad=pad)
+    y = rng.standard_normal(ref.shape)
+    backward(sum_all(mul(conv2d(x, w, stride=stride, pad=pad),
+                         Tensor(nhwc(y)))))
+    inner = np.sum(ref * y)
+    np.testing.assert_allclose(np.sum(x.data * x.grad), inner, rtol=1e-12)
+    np.testing.assert_allclose(np.sum(w.data * w.grad), inner, rtol=1e-12)
+
+
+# (H, W, k, pad, stride) of maps with no more pixels than the kernel has
+# taps, which _conv runs as one dense GEMM: every pad conv2d accepts
+SMALL_MAPS = [(h, w, k, pad, stride)
+              for h, w in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3)]
+              for k in (1, 3) if h * w <= k * k
+              for pad in range(k) if min(h, w) + 2 * pad >= k
+              for stride in (1, 2)]
+
+
 class TestTensorBasics:
     def test_creation_rejects_nan(self):
         with pytest.raises(NonFiniteError):
@@ -145,13 +169,17 @@ class TestConv2d:
         ((2, 3, 6, 9), (4, 3, 3, 3), 2, 0),
         ((2, 4, 8, 6), (6, 4, 1, 1), 2, 0),     # 1x1 stride-2 projection
         ((2, 4, 5, 8), (6, 4, 1, 1), 2, 0),
-    ])
-    def test_matches_naive_reference_other_shapes(self, x_shape, w_shape,
-                                                  stride, pad):
+    ] + [((2, 3, h, width), (4, 3, k, k), stride, pad)
+         for h, width, k, pad, stride in SMALL_MAPS])
+    def test_matches_naive_reference_other_shapes(self, monkeypatch, x_shape,
+                                                  w_shape, stride, pad):
+        # a map with H*W <= k*k runs as one dense GEMM, with no columns
         rng = np.random.default_rng(40)
         x = rng.standard_normal(x_shape)
         w = rng.standard_normal(w_shape)
+        blocks = spy_im2col_rows(monkeypatch)
         out = conv2d(Tensor(nhwc(x)), Tensor(w), stride=stride, pad=pad)
+        assert (blocks == []) == (x_shape[2] * x_shape[3] <= w_shape[2] ** 2)
         ref = naive_conv2d(x, w, stride=stride, pad=pad)
         assert nchw(out.data).shape == ref.shape
         np.testing.assert_allclose(nchw(out.data), ref, atol=1e-12)
@@ -175,20 +203,60 @@ class TestConv2d:
     @pytest.mark.parametrize("k,pad", [(1, 0), (3, 0), (3, 1), (3, 2)])
     @pytest.mark.parametrize("stride", [1, 2])
     def test_gradients_are_adjoint_of_forward(self, k, pad, stride):
-        # conv is bilinear: <conv(x, w), Y> == <x, dx> == <w, dw>.  The
-        # 5x6 input gives (H + 2*pad - k) % stride != 0 in some cases
-        rng = np.random.default_rng(41)
-        x = Tensor(nhwc(rng.standard_normal((2, 3, 5, 6))), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 3, k, k)), requires_grad=True)
-        ref = naive_conv2d(nchw(x.data), w.data, stride=stride, pad=pad)
-        y = rng.standard_normal(ref.shape)
-        backward(sum_all(mul(conv2d(x, w, stride=stride, pad=pad),
-                             Tensor(nhwc(y)))))
-        inner = np.sum(ref * y)
-        np.testing.assert_allclose(np.sum(x.data * x.grad), inner,
-                                   rtol=1e-12)
-        np.testing.assert_allclose(np.sum(w.data * w.grad), inner,
-                                   rtol=1e-12)
+        # the 5x6 input gives (H + 2*pad - k) % stride != 0 in some cases
+        assert_conv_adjoint(5, 6, k, pad, stride)
+
+    @pytest.mark.parametrize("h,width,k,pad,stride", SMALL_MAPS)
+    def test_small_map_gradients_are_adjoint_of_forward(self, h, width, k,
+                                                        pad, stride):
+        assert_conv_adjoint(h, width, k, pad, stride)
+
+    def test_small_map_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(49)
+        x = Tensor(rng.standard_normal((2, 2, 2, 3)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)) * 0.5, requires_grad=True)
+        bias = Tensor(rng.standard_normal(4), requires_grad=True)
+        r = Tensor(rng.standard_normal((2, 2, 2, 4)))
+        err = grad_check(lambda: sum_all(mul(relu(
+            conv2d(x, w, pad=1, bias=bias)), r)), [x, w, bias])
+        assert err < 1e-4
+
+    def test_small_maps_build_columns_only_for_weight_gradients(
+            self, monkeypatch):
+        # forward and input-gradient convs run in _conv; a map with
+        # H*W <= k*k takes its dense GEMM there, so columns are built for
+        # it only by the weight gradient, outside _conv
+        calls = []
+        inside = [False]
+        im2col, conv = resizenet.tensor._im2col, resizenet.tensor._conv
+
+        def spy_im2col(x, k, *args):
+            calls.append((x.shape[1] * x.shape[2] <= k * k, inside[0]))
+            return im2col(x, k, *args)
+
+        def spy_conv(*args):
+            inside[0] = True
+            try:
+                return conv(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(resizenet.tensor, "_im2col", spy_im2col)
+        monkeypatch.setattr(resizenet.tensor, "_conv", spy_conv)
+        spec = ModelSpec(stage_blocks=(1, 1, 2), channels=(4, 6, 8))
+        model = GatedResNet(spec, np.random.default_rng(50))
+        images = np.random.default_rng(51).standard_normal((3, 3, 8, 8))
+        with no_grad():
+            model.forward(images, 1.0)
+        assert calls and not any(small for small, _ in calls)
+
+        calls.clear()
+        logits, _ = model.forward(images, 1.0,
+                                  [GateMode.SIGMOID] * model.num_blocks,
+                                  bn_training=True)
+        backward(sum_all(logits))
+        assert (True, True) not in calls
+        assert (True, False) in calls
 
     @pytest.mark.parametrize("k,pad", [(1, 1), (3, 3), (3, -1)])
     def test_pad_outside_kernel_rejected(self, k, pad):
@@ -337,6 +405,25 @@ class TestAffine:
         err = grad_check(lambda: mean_all(mul(affine(x, w, b), affine(x, w, b))),
                          [x, w, b])
         assert err < 1e-6
+
+    def test_rule_skips_parents_that_need_no_gradient(self):
+        # requires_grad is read at recording time: a constant input gets
+        # None, and so do constant weights and bias
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.standard_normal((3, 4)))
+        w = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal(2), requires_grad=True)
+        g = rng.standard_normal((3, 2))
+        gx, gw, gb = affine(x, w, b)._backward_rule(g)
+        assert gx is None
+        np.testing.assert_array_equal(gw, x.data.T @ g)
+        np.testing.assert_array_equal(gb, g.sum(axis=0))
+
+        x.requires_grad = True
+        w.requires_grad = b.requires_grad = False
+        gx, gw, gb = affine(x, w, b)._backward_rule(g)
+        np.testing.assert_array_equal(gx, g @ w.data.T)
+        assert gw is None and gb is None
 
 
 class TestElementwise:
