@@ -195,11 +195,16 @@ def cmd_train(args) -> int:
 
     # made before the schedule runs, so an unusable --out fails at once
     os.makedirs(out_dir, exist_ok=True)
-    rows = Trainer(model, train_data, val_data, cfg).run().rows
+    trainer = Trainer(model, train_data, val_data, cfg)
+    rows = trainer.report.rows
+    try:
+        trainer.run()
+    finally:
+        # a run that diverges still leaves the epochs it finished
+        _write_csv(os.path.join(out_dir, "epochs.csv"),
+                   [[f.name for f in fields(EpochRow)], *map(astuple, rows)])
     ckpt = os.path.join(out_dir, "model.ckpt")
     save_checkpoint(ckpt, model, train_state={"epoch": len(rows)})
-    _write_csv(os.path.join(out_dir, "epochs.csv"),
-               [[f.name for f in fields(EpochRow)], *map(astuple, rows)])
     last = rows[-1]
     _write_json(os.path.join(out_dir, "summary.json"), {
         "epochs": len(rows), "final_val_accuracy": last.val_accuracy,
@@ -250,10 +255,14 @@ def cmd_eval(args) -> int:
         "gate_override": args.gate_override, "rows": rows,
         "gate_overhead_ratio": fm.gate_overhead_ratio})
     # wall time varies run to run, so it stays out of eval.csv/eval.json
+    ms = [1000.0 * sec / r.stats.n_samples for r, sec in zip(results, seconds)]
+    # both ratios are to the top of the grid, so time can be read against
+    # MACs at every S
     _write_json(out / "timing.json", {"rows": [
         {"scale": row["scale"], "flops_mean": row["flops_mean"],
-         "ms_per_sample": 1000.0 * sec / r.stats.n_samples}
-        for row, r, sec in zip(rows, results, seconds)]})
+         "ms_per_sample": t, "time_ratio": t / ms[-1],
+         "macs_ratio": row["flops_mean"] / rows[-1]["flops_mean"]}
+        for row, t in zip(rows, ms)]})
     # a header row of scales, then one row of mean gate values per block
     _write_csv(out / "usage_map.csv", [grid, *np.stack(
         [r.stats.per_block_usage for r in results], axis=1)])

@@ -4,6 +4,7 @@ codes, and byte-level determinism of emitted files."""
 import csv
 import json
 import pathlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from resizenet.cli import (
 )
 from resizenet.data import load_checkpoint, make_synthetic, save_checkpoint
 from resizenet.model import GatedResNet, ModelSpec
+from resizenet.training import EpochRow
 
 SMALL_MODEL = {"stage_blocks": [2], "channels": [8], "num_classes": 4}
 SMALL_DATASET = {"kind": "synthetic", "m": 64, "val_m": 32,
@@ -241,6 +243,22 @@ class TestTrainCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("diverged: ")
 
+    def test_divergence_keeps_the_epochs_that_finished(self, run_config,
+                                                       tmp_path, capsys):
+        # epoch 0 trains at a sane rate, epoch 1 overflows the weights
+        path = self._config_with_train(
+            run_config, epochs_total=2, epochs_gate_only=0,
+            optimizer={"kind": "sgd", "momentum": 0.0},
+            lr_schedule=[[0, 0.05], [1, 1e200]])
+        assert main(["train", "--config", str(path)]) == EXIT_DIVERGED
+        assert "epoch 1" in capsys.readouterr().err
+        with open(tmp_path / "run" / "epochs.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == [f.name for f in fields(EpochRow)]
+        assert [row[:3] for row in rows] == [["0", "joint", "0.05"]]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == \
+            ["epochs.csv"]
+
     @pytest.mark.parametrize("section,value,words", [
         ("train", [1, 2], ["train"]),
         ("train", {"lr_schedule": []}, ["lr_schedule"]),
@@ -428,11 +446,19 @@ class TestEvalCommand:
               "--grid", "0.2", "1.0", "--out", str(out)])
         rows = json.loads((out / "timing.json").read_text())["rows"]
         evals = json.loads((out / "eval.json").read_text())["rows"]
-        assert [set(r) for r in rows] == \
-            [{"scale", "flops_mean", "ms_per_sample"}] * 2
+        assert [set(r) for r in rows] == [{
+            "scale", "flops_mean", "ms_per_sample", "time_ratio",
+            "macs_ratio"}] * 2
         assert [(r["scale"], r["flops_mean"]) for r in rows] == \
             [(r["scale"], r["flops_mean"]) for r in evals]
         assert all(r["ms_per_sample"] > 0 for r in rows)
+        # both ratios are to the grid's top scale
+        top = rows[-1]
+        assert top["time_ratio"] == top["macs_ratio"] == 1.0
+        assert rows[0]["time_ratio"] == \
+            rows[0]["ms_per_sample"] / top["ms_per_sample"]
+        assert rows[0]["macs_ratio"] == \
+            rows[0]["flops_mean"] / top["flops_mean"]
 
     def test_dataset_spec_not_an_object_is_usage_error(self, checkpoint,
                                                        tmp_path, capsys):

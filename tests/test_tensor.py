@@ -303,7 +303,7 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_blocked_columns_match_naive_reference(self, monkeypatch, k, pad,
                                                    stride):
-        # a budget of two samples' columns splits a batch of 5 into blocks
+        # a budget of two samples' GEMMs splits a batch of 5 into blocks
         # of 2, 2 and 1, with or without a graph: no conv builds other
         # columns, and the weight gradient rebuilds its own in blocks
         rng = np.random.default_rng(44)
@@ -313,8 +313,8 @@ class TestConv2d:
         ref = naive_conv2d(x, w, stride=stride, pad=pad)
         y = rng.standard_normal(ref.shape)
         ho, wo = ref.shape[2:]
-        monkeypatch.setattr(resizenet.tensor, "_COLS_BLOCK_BYTES",
-                            2 * ho * wo * k * k * 3 * 8 + 7)
+        monkeypatch.setattr(resizenet.tensor, "_COLS_BLOCK_MACS",
+                            2 * ho * wo * k * k * 3 * 4 + 7)
         blocks = spy_im2col_rows(monkeypatch)
         with no_grad():
             out = conv2d(Tensor(nhwc(x)), Tensor(w), stride=stride, pad=pad,
@@ -342,7 +342,7 @@ class TestConv2d:
     def test_recorded_weight_rebuilds_columns_in_blocks(self, monkeypatch):
         # the weight gradient rebuilds its columns one block at a time, and
         # an input that needs no gradient adds no input-gradient conv
-        monkeypatch.setattr(resizenet.tensor, "_COLS_BLOCK_BYTES", 1)
+        monkeypatch.setattr(resizenet.tensor, "_COLS_BLOCK_MACS", 1)
         blocks = spy_im2col_rows(monkeypatch)
         rng = np.random.default_rng(45)
         x = Tensor(rng.standard_normal((3, 5, 6, 2)))
@@ -357,6 +357,46 @@ class TestConv2d:
         assert x.grad is None
         np.testing.assert_allclose(np.sum(w.data * w.grad), np.sum(ref * y),
                                    rtol=1e-12)
+
+    def test_blocks_are_the_largest_within_the_gemm_bound(self, monkeypatch):
+        # every column block of the benchmark model's convs at batch 256,
+        # forward and backward: its GEMM's M*K*N stays within the bound,
+        # and it holds as many whole samples as fit, or one when one is over
+        bound = resizenet.tensor._COLS_BLOCK_MACS
+        samples = spy_im2col_rows(monkeypatch)
+        col_blocks = resizenet.tensor._col_blocks
+        convs = []
+
+        def spy(x, k, stride, pad, cout):
+            blocks = []
+            convs.append((x.shape[0], blocks))
+            for rows, cols in col_blocks(x, k, stride, pad, cout):
+                m, kk = cols.shape
+                blocks.append((samples[-1], m // samples[-1] * kk * cout))
+                yield rows, cols
+
+        monkeypatch.setattr(resizenet.tensor, "_col_blocks", spy)
+        spec = ModelSpec(stage_blocks=(4, 4, 4), channels=(16, 32, 64),
+                         num_classes=4)
+        model = GatedResNet(spec, np.random.default_rng(52))
+        images = np.random.default_rng(53).standard_normal((256, 3, 8, 8))
+        logits, _ = model.forward(images, 1.0,
+                                  [GateMode.SIGMOID] * model.num_blocks,
+                                  bn_training=True)
+        backward(sum_all(logits))
+        steps = set()
+        for batch, blocks in convs:
+            per_sample = blocks[0][1]
+            assert {per for _, per in blocks} == {per_sample}
+            step = blocks[0][0]
+            assert step == 1 or step * per_sample <= bound
+            assert (step + 1) * per_sample > bound
+            assert [n for n, _ in blocks] == \
+                [step] * (batch // step) + [batch % step] * (batch % step > 0)
+            steps.add(step)
+        # stage 1's 16 -> 16 3x3 conv on 8x8 maps takes 6 samples a block
+        # (0.88e6 multiply-adds), the 3 -> 16 stem 36
+        assert {6, 36} <= steps
 
     def test_bias_gradients_match_finite_differences(self):
         rng = np.random.default_rng(46)
@@ -499,6 +539,13 @@ class TestGlobalAvgPool:
         err = grad_check(lambda: sum_all(mul(global_avg_pool(x),
                                              global_avg_pool(x))), [x])
         assert err < 1e-6
+
+    @pytest.mark.parametrize("shape", [(256, 8, 8, 16), (256, 4, 4, 32),
+                                       (256, 2, 2, 64), (3, 5, 7, 2)])
+    def test_matches_numpy_mean(self, shape):
+        x = np.random.default_rng(12).standard_normal(shape)
+        np.testing.assert_allclose(global_avg_pool(Tensor(x)).data,
+                                   x.mean(axis=(1, 2)), rtol=1e-15)
 
 
 class TestBatchNorm:
