@@ -251,9 +251,14 @@ def cmd_eval(args) -> int:
     rows = [r.summary() for r in results]
     # eval.csv's columns are summary()'s keys, in order
     _write_csv(out / "eval.csv", [list(rows[0]), *map(dict.values, rows)])
+    # how closely usage/N follows S, and how far the grid moves it
+    usage = [row["usage_mean"] / model.num_blocks for row in rows]
     _write_json(out / "eval.json", {
         "gate_override": args.gate_override, "rows": rows,
-        "gate_overhead_ratio": fm.gate_overhead_ratio})
+        "gate_overhead_ratio": fm.gate_overhead_ratio,
+        "calibration_error": sum(abs(u - s) for u, s in zip(usage, grid))
+        / len(grid),
+        "usage_span": usage[-1] - usage[0]})
     # wall time varies run to run, so it stays out of eval.csv/eval.json
     ms = [1000.0 * sec / r.stats.n_samples for r, sec in zip(results, seconds)]
     # both ratios are to the top of the grid, so time can be read against

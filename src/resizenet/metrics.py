@@ -15,6 +15,7 @@ from .model import (
     GateMode,
     ModelSpec,
     _check_scale,
+    check_number,
     gate_hidden_width,
 )
 from .tensor import no_grad
@@ -156,13 +157,15 @@ def budget_to_scale(calibration: list[tuple[float, float]],
     """Largest scale whose interpolated mean cost fits the budget.
 
     ``calibration`` is (scale, mean_macs) pairs sorted by scale with
-    non-decreasing cost; the answer is clamped to the calibrated endpoints
-    and linearly interpolated between them.
+    non-decreasing cost, each scale in [0, 1] and each cost a finite number
+    >= 0; the answer is clamped to the calibrated endpoints and linearly
+    interpolated between them.
     """
     if not calibration:
         raise ValueError("empty calibration table")
-    s_vals = [float(s) for s, _ in calibration]
-    f_vals = [float(f) for _, f in calibration]
+    s_vals = [_check_scale(s) for s, _ in calibration]
+    f_vals = [float(check_number("calibration cost", f, 0))
+              for _, f in calibration]
     if s_vals != sorted(s_vals):
         raise ValueError("calibration must be sorted by scale")
     if any(b < a for a, b in zip(f_vals, f_vals[1:])):

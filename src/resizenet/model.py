@@ -213,9 +213,9 @@ class GateParams:
 class GateRecord:
     """Per-block gate outputs of one forward pass.
 
-    ``gate_tensors`` stay attached to the autodiff graph, so losses built
-    from the record reach sigmoid-mode gates; binary-mode entries are
-    recorded as constants and contribute no gradient.
+    ``gate_tensors`` stay attached to the autodiff graph.  A gate that needs
+    a gradient (sigmoid mode) had its block scale every row, so losses built
+    from the record reach it; binary-mode gates are constants, needing none.
     """
     gate_tensors: list[Tensor]
 
@@ -296,33 +296,38 @@ def _shortcut(x: Tensor, block: BlockParams, bn_training: bool) -> Tensor:
     return x if block.proj is None else _conv_bn(x, block.proj, bn_training)
 
 
-def gated_block_forward(x: Tensor, block: BlockParams, gate: Tensor,
-                        mode: GateMode, *,
+def _run_block(x: Tensor, block: BlockParams, open_rows: np.ndarray,
+               bn_training: bool) -> Tensor:
+    """``relu(shortcut(X) + branch(X))``, the branch run only on the rows
+    where ``open_rows`` is nonzero.  A closed row is an identity shortcut as
+    it is (block inputs follow a ReLU) or a projection through ``relu``."""
+    shortcut = _shortcut(x, block, bn_training)
+    rows = np.flatnonzero(open_rows)
+    if rows.size == 0:
+        return shortcut if block.proj is None else relu(shortcut)
+    if rows.size < x.shape[0]:
+        branch = _residual_branch(take_rows(x, rows), block, bn_training)
+        return relu(add_rows(shortcut, rows, branch))
+    return relu(add(shortcut, _residual_branch(x, block, bn_training)))
+
+
+def gated_block_forward(x: Tensor, block: BlockParams, gate: Tensor, *,
                         bn_training: bool = False) -> Tensor:
     """One gated residual block: Y = relu(shortcut(X) + gate * branch(X)).
 
-    Binary gates make the branch term vanish exactly: a sample with gate 0
-    comes out bitwise equal to its input (identity shortcut; block inputs
-    follow a ReLU, so the final ReLU cannot alter them).  With batch norm in
-    eval mode every layer of the branch is per-sample, so a binary gate runs
-    the branch on its open rows only and adds it, unscaled, into those rows;
-    a gate closed on every row skips the branch altogether.  Sigmoid gates and
-    training-mode batch norm compute the branch on every row and scale it.
+    The gate's own values and ``requires_grad`` pick the path.  With batch
+    norm in eval mode every branch layer is per-sample, so a gate that needs
+    no gradient and holds only 0s and 1s runs the branch unscaled on its
+    open rows only; a closed row comes out bitwise equal to its input.  Any
+    other gate, so every gate that needs a gradient, and training-mode batch
+    norm, whose statistics depend on the rows in the batch, compute the
+    branch on every row and scale it: a closed branch then gets a zero
+    gradient, not None, so weight decay and momentum still move it.
     """
+    if not (bn_training or gate.requires_grad) \
+            and np.all((gate.data == 0.0) | (gate.data == 1.0)):
+        return _run_block(x, block, gate.data, False)
     shortcut = _shortcut(x, block, bn_training)
-    # Never skip or gather with batch norm in training mode: its statistics
-    # (and the running averages it updates) depend on which rows are in the
-    # batch, and a joint step gives a closed branch a zero gradient (not
-    # None), so weight decay and momentum still move it.
-    if mode is GateMode.BINARY and not bn_training:
-        rows = np.flatnonzero(gate.data)
-        if rows.size == 0:
-            # identity shortcuts follow a ReLU already, projections do not
-            return shortcut if block.proj is None else relu(shortcut)
-        if rows.size < gate.shape[0]:
-            branch = _residual_branch(take_rows(x, rows), block, False)
-            return relu(add_rows(shortcut, rows, branch))
-        return relu(add(shortcut, _residual_branch(x, block, False)))
     branch = _residual_branch(x, block, bn_training)
     return relu(add(shortcut, scale_features(branch, gate)))
 
@@ -376,8 +381,7 @@ class GatedResNet:
         for block, gparams, mode in zip(self.blocks, self.gate_modules, modes):
             gate = gate_forward(h, scale, gparams, mode,
                                 self.spec.use_feature_input)
-            h = gated_block_forward(h, block, gate, mode,
-                                    bn_training=bn_training)
+            h = gated_block_forward(h, block, gate, bn_training=bn_training)
             gates.append(gate)
         logits = self._head(h)
         return logits, GateRecord(gates)
@@ -461,9 +465,5 @@ def random_drop_forward(model: GatedResNet, x, scale: float,
 
     h = model._stem(x, bn_training)
     for block, keep in zip(model.blocks, kept):
-        shortcut = _shortcut(h, block, bn_training)
-        if keep:
-            h = relu(add(shortcut, _residual_branch(h, block, bn_training)))
-        else:
-            h = shortcut if block.proj is None else relu(shortcut)
+        h = _run_block(h, block, np.full(h.shape[0], keep), bn_training)
     return model._head(h), kept

@@ -31,9 +31,10 @@ def scale_loss(record: GateRecord, scale: float) -> Tensor:
     """Squared gap between the per-sample mean gate value and the scale.
 
     Computed per sample as ``(mean_n gate_n - scale)**2`` and averaged over
-    the batch.  Binary-mode gates enter the mean as recorded constants, so
-    gradient reaches sigmoid-mode gates only; for one of those the gradient
-    is ``2 * (mean - scale) / (N * B)``.
+    the batch.  Gradient reaches every gate that needs one, today the
+    sigmoid-mode gates, whose blocks therefore compute and scale every row;
+    binary-mode gates enter the mean as constants.  For a gate that needs
+    one the gradient is ``2 * (mean - scale) / (N * B)``.
     """
     scale = _check_scale(scale)
     if record.num_blocks == 0:

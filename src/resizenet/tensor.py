@@ -230,9 +230,14 @@ def scale_features(features: Tensor, gate: Tensor) -> Tensor:
              f"features batch {features.shape[0]}")
     gcol = gate.data[:, None, None, None]
     out = features.data * gcol
+    # read at recording time, as in affine: a parent that needs no gradient
+    # gets None, so a constant gate's reduction over the features never runs
+    need_gf, need_gg = features.requires_grad, gate.requires_grad
 
     def rule(g):
-        return g * gcol, np.einsum("bhwc,bhwc->b", g, features.data)
+        return (g * gcol if need_gf else None,
+                np.einsum("bhwc,bhwc->b", g, features.data)
+                if need_gg else None)
 
     return _from_op(out, (features, gate), rule)
 

@@ -426,6 +426,21 @@ class TestTrainCommand:
         assert ran == []
 
 
+def assert_knob_numbers_match_csv(out, n_blocks) -> dict:
+    """Check eval.json's calibration_error, the mean |usage/N - S|, and
+    usage_span, usage/N at the top S minus at the bottom, against the rows
+    of eval.csv; returns eval.json."""
+    with open(out / "eval.csv") as fh:
+        rows = [{k: float(v) for k, v in row.items()}
+                for row in csv.DictReader(fh)]
+    usage = [r["usage_mean"] / n_blocks for r in rows]
+    doc = json.loads((out / "eval.json").read_text())
+    assert doc["calibration_error"] == \
+        sum(abs(u - r["scale"]) for u, r in zip(usage, rows)) / len(rows)
+    assert doc["usage_span"] == usage[-1] - usage[0]
+    return doc
+
+
 class TestEvalCommand:
     def test_eval_writes_csv_schema(self, checkpoint, dataset_spec,
                                     tmp_path):
@@ -438,6 +453,30 @@ class TestEvalCommand:
         assert lines[0] == \
             "scale,accuracy,usage_mean,usage_std,flops_mean,flops_std"
         assert len(lines) == 4
+        assert_knob_numbers_match_csv(out, 2)
+
+    def test_eval_reports_how_usage_follows_the_knob(self, dataset_spec,
+                                                     tmp_path):
+        # the scale input alone drives both gates: block 0 opens above
+        # S=0.1, block 1 above S=0.7, so usage/N reads .5, .5 and 1
+        model = GatedResNet(ModelSpec(stage_blocks=(2,), channels=(8,),
+                                      num_classes=4),
+                            np.random.default_rng(3))
+        for g, b2 in zip(model.gate_modules, (-5.0, -35.0)):
+            g.w1.data[:-1, :] = 0.0
+            g.w1.data[-1, :] = 10.0
+            g.b1.data[:] = 0.0
+            g.w2.data[:] = 1.0
+            g.b2.data[:] = b2
+        ckpt = tmp_path / "knob.ckpt"
+        save_checkpoint(ckpt, model)
+        out = tmp_path / "e"
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--dataset", dataset_spec, "--grid", "0.2", "0.6", "1.0",
+                     "--out", str(out)]) == EXIT_OK
+        doc = assert_knob_numbers_match_csv(out, 2)
+        assert doc["usage_span"] == 0.5
+        assert doc["calibration_error"] == pytest.approx(0.4 / 3, abs=1e-15)
 
     def test_eval_writes_timing_next_to_flops(self, checkpoint, dataset_spec,
                                               tmp_path):
@@ -712,8 +751,19 @@ class TestCalibrateResolve:
         "{not json",
         json.dumps({"entries": [{"scale": 1.0, "flops_mean": 2.0},
                                 {"scale": 0.2, "flops_mean": 1.0}]}),
+        '{"entries": [{"scale": 0.2, "flops_mean": NaN},'
+        ' {"scale": 1.0, "flops_mean": 200.0}]}',
+        '{"entries": [{"scale": NaN, "flops_mean": 100.0},'
+        ' {"scale": 1.0, "flops_mean": 200.0}]}',
+        json.dumps({"entries": [{"scale": 5, "flops_mean": 100.0},
+                                {"scale": 7, "flops_mean": 200.0}]}),
+        json.dumps({"entries": [{"scale": 0.2, "flops_mean": 100.0},
+                                {"scale": True, "flops_mean": 200.0}]}),
+        '{"entries": [{"scale": 0.2, "flops_mean": 100.0},'
+        ' {"scale": 1.0, "flops_mean": Infinity}]}',
     ], ids=["no_entries", "entry_without_flops_mean", "not_json",
-            "unsorted"])
+            "unsorted", "nan_cost", "nan_scale", "scale_above_one",
+            "bool_scale", "infinite_cost"])
     def test_malformed_calibration_is_data_error(self, tmp_path, text,
                                                  capsys):
         cal_path = tmp_path / "cal.json"

@@ -251,6 +251,19 @@ class TestBudgetToScale:
         with pytest.raises(ValueError, match="empty"):
             budget_to_scale([], 10.0)
 
+    @pytest.mark.parametrize("cal,error", [
+        ([(0.2, float("nan")), (1.0, 200.0)], ValueError),
+        ([(0.2, 100.0), (1.0, float("inf"))], ValueError),
+        ([(0.2, -1.0), (1.0, 200.0)], ValueError),
+        ([(float("nan"), 100.0), (1.0, 200.0)], ValueError),
+        ([(5.0, 100.0), (7.0, 200.0)], ValueError),
+        ([(0.2, 100.0), (True, 200.0)], TypeError),
+    ], ids=["nan_cost", "infinite_cost", "negative_cost", "nan_scale",
+            "scale_above_one", "bool_scale"])
+    def test_malformed_entry_rejected(self, cal, error):
+        with pytest.raises(error, match="scale|cost"):
+            budget_to_scale(cal, 150.0)
+
     def test_decreasing_costs_rejected(self):
         with pytest.raises(ValueError, match="non-decreasing"):
             budget_to_scale([(0.2, 200.0), (1.0, 100.0)], 150.0)

@@ -238,8 +238,7 @@ class TestGatedBlockForward:
         self.x = Tensor(np.abs(rng.standard_normal((3, 4, 5, 6))))
 
     def test_zero_gate_is_bitwise_identity(self):
-        out = gated_block_forward(self.x, self.block, Tensor(np.zeros(3)),
-                                  GateMode.BINARY)
+        out = gated_block_forward(self.x, self.block, Tensor(np.zeros(3)))
         assert out.data.tobytes() == self.x.data.tobytes()
 
     def assert_closed_gate_skips_branch(self, block, monkeypatch):
@@ -248,7 +247,7 @@ class TestGatedBlockForward:
                           scale_features(_residual_branch(self.x, block, False),
                                          zero)))
         calls = spy_branch(monkeypatch)
-        out = gated_block_forward(self.x, block, zero, GateMode.BINARY)
+        out = gated_block_forward(self.x, block, zero)
         assert calls == []
         assert out.data.tobytes() == masked.data.tobytes()
         return out
@@ -266,7 +265,7 @@ class TestGatedBlockForward:
         layers = (self.block.conv1, self.block.conv2)
         before = [layer.running_mean.copy() for layer in layers]
         out = gated_block_forward(self.x, self.block, Tensor(np.zeros(3)),
-                                  GateMode.BINARY, bn_training=True)
+                                  bn_training=True)
         assert len(calls) == 1
         for layer, mean in zip(layers, before):
             assert not np.array_equal(layer.running_mean, mean)
@@ -274,7 +273,7 @@ class TestGatedBlockForward:
 
     def test_mixed_gates_bypass_per_sample(self):
         gate = Tensor(np.array([0.0, 1.0, 0.0]))
-        out = gated_block_forward(self.x, self.block, gate, GateMode.BINARY)
+        out = gated_block_forward(self.x, self.block, gate)
         assert out.data[0].tobytes() == self.x.data[0].tobytes()
         assert out.data[2].tobytes() == self.x.data[2].tobytes()
         assert not np.array_equal(out.data[1], self.x.data[1])
@@ -288,8 +287,7 @@ class TestGatedBlockForward:
         shortcut = _shortcut(self.x, block, False).data
         branch = _residual_branch(self.x, block, False).data
         convs = spy_convs(monkeypatch)
-        out = gated_block_forward(self.x, block, Tensor([1.0, 0.0, 1.0]),
-                                  GateMode.BINARY)
+        out = gated_block_forward(self.x, block, Tensor([1.0, 0.0, 1.0]))
         # the two 3x3 branch convs see the open rows, a 1x1 projection all
         assert [rows for k, rows in convs if k == 3] == [2, 2]
         assert [rows for k, rows in convs if k == 1] == \
@@ -304,7 +302,7 @@ class TestGatedBlockForward:
             self, monkeypatch):
         convs = spy_convs(monkeypatch)
         gated_block_forward(self.x, self.block, Tensor([1.0, 0.0, 1.0]),
-                            GateMode.BINARY, bn_training=True)
+                            bn_training=True)
         assert convs == [(3, 3), (3, 3)]
 
     def test_open_rows_path_gradients(self):
@@ -320,21 +318,45 @@ class TestGatedBlockForward:
             layer.running_var[...] = rng.uniform(0.5, 2.0, 6)
 
         def loss():
-            return sum_all(mul(gated_block_forward(
-                x, self.block, gate, GateMode.BINARY), r))
+            return sum_all(mul(gated_block_forward(x, self.block, gate), r))
 
         assert grad_check(loss, [x]) < 1e-4
         assert self.block.conv1.w.grad is None
 
-    def test_sigmoid_gate_is_never_skipped(self, monkeypatch):
+    def test_gate_that_needs_a_gradient_is_never_skipped(self, monkeypatch):
         calls = spy_branch(monkeypatch)
-        gated_block_forward(self.x, self.block, Tensor(np.zeros(3)),
-                            GateMode.SIGMOID)
-        assert len(calls) == 1
+        gated_block_forward(self.x, self.block,
+                            Tensor(np.zeros(3), requires_grad=True))
+        assert calls == [3]
+
+    def test_binary_gate_that_needs_a_gradient_runs_every_row(
+            self, monkeypatch):
+        # eval-mode batch norm, yet the gate carries a gradient, so the
+        # closed row's branch is computed too and reaches the gate
+        branch = _residual_branch(self.x, self.block, False).data
+        convs = spy_convs(monkeypatch)
+        gate = Tensor([1.0, 0.0, 1.0], requires_grad=True)
+        out = gated_block_forward(self.x, self.block, gate)
+        assert convs == [(3, 3), (3, 3)]
+        sum_all(out).backward()
+        np.testing.assert_allclose(
+            gate.grad, np.sum((out.data > 0) * branch, axis=(1, 2, 3)),
+            rtol=1e-12)
+        assert gate.grad[1] != 0.0
+
+    def test_constant_fractional_gate_gives_masked_formula(self, monkeypatch):
+        gate = Tensor([0.5, 0.0, 1.0])
+        branch = _residual_branch(self.x, self.block, False).data
+        convs = spy_convs(monkeypatch)
+        out = gated_block_forward(self.x, self.block, gate)
+        assert convs == [(3, 3), (3, 3)]
+        ref = np.maximum(self.x.data + gate.data[:, None, None, None]
+                         * branch, 0.0)
+        np.testing.assert_allclose(out.data, ref, rtol=0, atol=1e-12)
 
     def test_half_gate_matches_direct_formula(self):
         gate = Tensor(np.full(3, 0.5))
-        out = gated_block_forward(self.x, self.block, gate, GateMode.SIGMOID)
+        out = gated_block_forward(self.x, self.block, gate)
         branch = _residual_branch(self.x, self.block, False).data
         ref = np.maximum(self.x.data + 0.5 * branch, 0.0)
         np.testing.assert_allclose(out.data, ref, atol=1e-12)
@@ -498,7 +520,7 @@ class TestFoldedEvalBatchNorm:
             s = gate_forward(h, 0.5, gp, GateMode.SIGMOID).data
             gp.b2.data -= np.median(np.log(s / (1.0 - s)))
             gate = gate_forward(h, 0.5, gp, GateMode.BINARY)
-            h = gated_block_forward(h, block, gate, GateMode.BINARY)
+            h = gated_block_forward(h, block, gate)
         assert any(b.proj is not None for b in model.blocks)
         mixed = 0
         for scale in (0.0, 0.5, 1.0):
@@ -522,10 +544,10 @@ class TestFoldedEvalBatchNorm:
         x = Tensor(np.maximum(rng.standard_normal((3, 8, 7, 6)), 0.0),
                    requires_grad=True)
         gate = Tensor([1.0, 0.0, 1.0])
-        ref = gated_block_forward(x, block, gate, GateMode.BINARY)
+        ref = gated_block_forward(x, block, gate)
         assert ref.requires_grad
         with no_grad():
-            out = gated_block_forward(x, block, gate, GateMode.BINARY)
+            out = gated_block_forward(x, block, gate)
         np.testing.assert_array_equal(out.data, ref.data)
 
 
@@ -567,6 +589,28 @@ class TestRandomDropForward:
         calls = spy_branch(monkeypatch)
         _, kept = random_drop_forward(model, x, 0.5, np.random.default_rng(2))
         assert len(calls) == kept.sum() == 2
+
+    def test_bn_training_leaves_dropped_blocks_untouched(self):
+        # a dropped block runs no branch: its running statistics keep their
+        # values and its conv and norm tensors get no gradient at all
+        spec = ModelSpec(stage_blocks=(2, 2), channels=(8, 16), num_classes=4)
+        model = GatedResNet(spec, np.random.default_rng(19))
+        rng = np.random.default_rng(24)
+        x = rng.standard_normal((4, 3, 8, 8))
+        branches = [(b.conv1, b.conv2) for b in model.blocks]
+        before = [[(layer.running_mean.copy(), layer.running_var.copy())
+                   for layer in layers] for layers in branches]
+        logits, kept = random_drop_forward(model, x, 0.5,
+                                           np.random.default_rng(2),
+                                           bn_training=True)
+        softmax_cross_entropy(logits, rng.integers(0, 4, 4)).backward()
+        assert kept.sum() == 2
+        for layers, stats, keep in zip(branches, before, kept):
+            for layer, (mean, var) in zip(layers, stats):
+                assert np.array_equal(layer.running_mean, mean) != keep
+                assert np.array_equal(layer.running_var, var) != keep
+                grads = (layer.w.grad, layer.gamma.grad, layer.beta.grad)
+                assert all((g is not None) == keep for g in grads)
 
     def test_kept_frequency_matches_scale(self):
         from resizenet.model import sample_kept_blocks

@@ -507,6 +507,22 @@ class TestElementwise:
         with pytest.raises(ShapeError):
             add(Tensor(np.zeros(2)), Tensor(np.zeros(3)))
 
+    def test_scale_features_rule_skips_parents_that_need_no_gradient(self):
+        # as in affine, requires_grad is read at recording time: a constant
+        # gate gets None, and so do constant features
+        rng = np.random.default_rng(7)
+        f = Tensor(rng.standard_normal((2, 3, 2, 4)), requires_grad=True)
+        gate = Tensor([0.0, 1.0])
+        g = rng.standard_normal(f.shape)
+        gf, gg = scale_features(f, gate)._backward_rule(g)
+        np.testing.assert_array_equal(gf, g * gate.data[:, None, None, None])
+        assert gg is None
+
+        f.requires_grad, gate.requires_grad = False, True
+        gf, gg = scale_features(f, gate)._backward_rule(g)
+        assert gf is None
+        np.testing.assert_array_equal(gg, np.einsum("bhwc,bhwc->b", g, f.data))
+
     def test_scale_features_gradients(self):
         rng = np.random.default_rng(9)
         f = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
