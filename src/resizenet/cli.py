@@ -131,6 +131,21 @@ def load_dataset_spec(obj: dict, split: str = "train") -> Dataset:
     raise ConfigError(f"unknown dataset kind {kind!r}")
 
 
+def check_data_fits(spec: ModelSpec, *datasets: Dataset) -> None:
+    """Reject a split with more classes than the model outputs, or images
+    whose channels the model's stem does not take; both commands call this
+    before they create their output directory."""
+    for data in datasets:
+        if data.num_classes > spec.num_classes:
+            raise ConfigError(
+                f"{data.split} split has {data.num_classes} classes but the "
+                f"model outputs {spec.num_classes}")
+        if data.images.shape[1] != spec.in_channels:
+            raise ConfigError(
+                f"{data.split} split has {data.images.shape[1]}-channel "
+                f"images but the model takes {spec.in_channels}")
+
+
 def load_run_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -186,6 +201,7 @@ def cmd_train(args) -> int:
     cfg = parse_train_config(config.get("train", {}))
     train_data = load_dataset_spec(dataset_obj, "train")
     val_data = load_dataset_spec(dataset_obj, "val")
+    check_data_fits(spec, train_data, val_data)
 
     init = args.init_from or config.get("init_checkpoint")
     if init:
@@ -229,10 +245,7 @@ def cmd_eval(args) -> int:
     override = GateMode.SIGMOID if args.gate_override else None
     model, _ = load_checkpoint(args.checkpoint)
     dataset = load_dataset_spec(_json_or_file(args.dataset), "val")
-    if dataset.num_classes > model.spec.num_classes:
-        raise ConfigError(f"dataset has {dataset.num_classes} classes but the "
-                          f"checkpoint's model outputs "
-                          f"{model.spec.num_classes}")
+    check_data_fits(model.spec, dataset)
     grid = _parse_grid(args.grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # before the sweep, as in train

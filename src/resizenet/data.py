@@ -43,12 +43,12 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Dataset:
-    """Normalized images [M,3,H,W], integer labels [M], and provenance."""
+    """Normalized images [M,C,H,W], integer labels [M], and provenance.
+    A split is plain data; ``TrainConfig.augment`` decides augmentation."""
     images: np.ndarray
     labels: np.ndarray
     split: str
     meta: dict = field(default_factory=dict)
-    augment: bool = False  # training on this set augments its batches
 
     def __post_init__(self):
         if len(self.images) != len(self.labels):
@@ -103,14 +103,14 @@ def make_synthetic(m: int, classes: int = 4, image_size: int = 8,
 
 
 def load_cifar_binary(path, *, record_format: str = "cifar10",
-                      split: str = "train",
-                      augment: bool = False) -> Dataset:
+                      split: str = "train") -> Dataset:
     """Parse the 3073-byte-record binary format into a normalized Dataset.
 
     Pixels are scaled to [0,1] and then normalized per channel by
     ``CIFAR10_MEANS`` and ``CIFAR10_STDS``.  ``record_format="cifar100"``
     reads the 3074-byte variant (coarse label byte + fine label byte) and
     keeps the fine label; the class count follows the format: 10 or 100.
+    The loader does not augment; a run's ``train`` section does.
     """
     label_bytes, num_classes = {"cifar10": (1, 10), "cifar100": (2, 100)}.get(
         record_format, (None, None))
@@ -134,8 +134,7 @@ def load_cifar_binary(path, *, record_format: str = "cifar10",
     images = (images - CIFAR10_MEANS) / CIFAR10_STDS
     return Dataset(images=images, labels=labels, split=split,
                    meta={"num_classes": num_classes,
-                         "record_format": record_format},
-                   augment=augment)
+                         "record_format": record_format})
 
 
 AUGMENT_PAD = 4  # zero border before the random crop, in pixels

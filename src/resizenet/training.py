@@ -1,10 +1,10 @@
 """Two-phase training: gate modules first against a frozen backbone, then
 everything jointly, with one scale value drawn per iteration.
 
-Supports three regimes selected by the config: ranged training (scale drawn
-uniformly per iteration), fixed-scale compression (cosine-annealed target
-with optional clamped Gaussian noise), and the random-drop baseline that
-finetunes a plain backbone under uniformly dropped blocks.
+Every regime the config selects runs that schedule: ranged training (scale
+drawn uniformly per iteration), fixed-scale compression (cosine-annealed
+target with optional clamped Gaussian noise), and the random-drop baseline,
+whose joint epochs finetune the backbone under uniformly dropped blocks.
 
 Training writes no files: ``Trainer.run`` updates the model in place and
 returns one ``EpochRow`` per epoch; persisting them (and the model, through
@@ -85,7 +85,8 @@ class TrainConfig:
     compression when ``scale_fixed`` is set, or ranged training, drawing
     the scale uniformly from ``scale_range``.  Exactly one of
     ``scale_fixed`` and ``scale_range`` is set, so a fixed-scale run
-    passes ``scale_range=None``."""
+    passes ``scale_range=None``.  ``lr_schedule``'s epochs start at 0 and
+    strictly ascend."""
     beta: float = 2.0
     p: float = 0.1
     scale_range: tuple[float, float] | None = (0.2, 1.0)
@@ -99,6 +100,7 @@ class TrainConfig:
     seed: int = 0
     baseline_mode: str = "none"      # "none" | "random_drop"
     gate_lr_scale: float = 1.0       # lr multiplier for gate-module params
+    augment: bool = False            # pad-crop and flip training batches
 
     def __post_init__(self):
         check_number("beta", self.beta, 0)
@@ -124,6 +126,10 @@ class TrainConfig:
             epoch, lr = _check_pair("lr_schedule entry", entry)
             check_number("lr_schedule epoch", epoch, 0, integer=True)
             check_number("lr_schedule lr", lr, 0)
+        starts = [epoch for epoch, _ in self.lr_schedule]
+        if starts[0] != 0 or starts != sorted(set(starts)):
+            raise ValueError(f"lr_schedule epochs must start at 0 and "
+                             f"strictly ascend, got {starts}")
         check_number("batch_size", self.batch_size, 1, integer=True)
         check_number("seed", self.seed, 0, integer=True)
         if self.baseline_mode not in ("none", "random_drop"):
@@ -134,13 +140,11 @@ class TrainConfig:
         check_number("gate_lr_scale", self.gate_lr_scale)
         if self.gate_lr_scale <= 0:
             raise ValueError("gate_lr_scale must be > 0")
+        if not isinstance(self.augment, bool):
+            raise ValueError("augment must be true or false")
 
-    def lr_at(self, epoch: int) -> float:
-        lr = self.lr_schedule[0][1]
-        for start, value in self.lr_schedule:
-            if epoch >= start:
-                lr = value
-        return lr
+    def lr_at(self, epoch: int) -> float:  # the last entry at or before it
+        return [lr for start, lr in self.lr_schedule if start <= epoch][-1]
 
 
 @dataclass
@@ -265,11 +269,12 @@ def make_optimizer(params: list[Tensor], spec: OptimizerSpec):
 class Trainer:
     """Owns the RNG streams, optimizer, and per-epoch bookkeeping.
 
-    Three seeded generators keep the runs reproducible and independent:
-    one for batch order and augmentation, one for gate-mode draws, one for
-    scale draws (shared with baseline block drops and annealing noise).
-    Trains ``model`` in place and writes nothing; ``report.rows`` holds one
-    row per epoch run so far.
+    Every regime runs the gate-only phase, then the joint phase.  Three
+    seeded generators keep the runs reproducible and independent: one for
+    batch order and augmentation, one for gate-mode draws, one for scale
+    draws (shared with baseline block drops and annealing noise).  Trains
+    ``model`` in place and writes nothing; ``report.rows`` holds one row
+    per epoch run so far.
     """
 
     def __init__(self, model: GatedResNet, train_data: Dataset,
@@ -289,16 +294,11 @@ class Trainer:
     # phases ------------------------------------------------------------
 
     def run(self) -> TrainReport:
-        """Full schedule: gate-only phase then joint phase, or the
-        random-drop baseline when configured.  Returns the report; a
-        non-finite value in any epoch, its validation pass included, raises
-        ``DivergenceError`` naming the epoch."""
-        if self.cfg.baseline_mode == "random_drop":
-            self.train_baseline()
-        else:
-            if self.cfg.epochs_gate_only > 0:
-                self.train_phase_gate_only()
-            self.train_phase_joint()
+        """Full schedule: gate-only phase then joint phase.  Returns the
+        report; a non-finite value in any epoch, its validation pass
+        included, raises ``DivergenceError`` naming the epoch."""
+        self.train_phase_gate_only()
+        self.train_phase_joint()
         return self.report
 
     def _gate_optimizer(self):
@@ -313,28 +313,22 @@ class Trainer:
         bit-for-bit unchanged."""
         steppers = [(self._gate_optimizer(), self.cfg.gate_lr_scale)]
         for _ in range(self.cfg.epochs_gate_only):
-            self._run_epoch("gate-only", steppers, bn_training=False)
+            self._run_epoch("gate-only", steppers)
 
     def train_phase_joint(self) -> None:
         """Update every parameter; scale and gate modes are re-drawn each
         iteration.  Gate modules may run under their own optimizer and
-        learning-rate multiplier."""
-        steppers = [
-            (make_optimizer(self.model.backbone_parameters(),
-                            self.cfg.optimizer), 1.0),
-            (self._gate_optimizer(), self.cfg.gate_lr_scale),
-        ]
-        for _ in range(self.cfg.epochs_total - self.cfg.epochs_gate_only):
-            self._run_epoch("joint", steppers, bn_training=True)
-
-    def train_baseline(self) -> None:
-        """Finetune under uniformly random block drops; the scale draw sets
-        how many blocks survive each iteration.  Gate modules are ignored."""
+        learning-rate multiplier.  The random-drop baseline's epochs,
+        labelled ``baseline``, keep a uniform random round(S*N) blocks per
+        iteration and update the backbone alone."""
         steppers = [(make_optimizer(self.model.backbone_parameters(),
                                     self.cfg.optimizer), 1.0)]
-        for _ in range(self.cfg.epochs_total):
-            self._run_epoch("baseline", steppers, bn_training=True,
-                            random_drop=True)
+        phase = "baseline" if self.cfg.baseline_mode == "random_drop" \
+            else "joint"
+        if phase == "joint":
+            steppers.append((self._gate_optimizer(), self.cfg.gate_lr_scale))
+        for _ in range(self.cfg.epochs_total - self.cfg.epochs_gate_only):
+            self._run_epoch(phase, steppers)
 
     # internals -----------------------------------------------------------
 
@@ -344,9 +338,11 @@ class Trainer:
                                   self.scale_rng)
         return sample_scale(self.cfg.scale_range, self.scale_rng)
 
-    def _run_epoch(self, phase: str, steppers, bn_training: bool,
-                   random_drop: bool = False) -> None:
+    def _run_epoch(self, phase: str, steppers) -> None:
+        """One epoch; the phase sets batch norm's mode (running statistics
+        in gate-only epochs) and the forward (random drop in baseline)."""
         cfg = self.cfg
+        bn_training = phase != "gate-only"
         lr = cfg.lr_at(self._epoch)
         order = self.data_rng.permutation(len(self.train_data))
         n_batches = 0
@@ -364,12 +360,12 @@ class Trainer:
             for start in range(0, len(order), cfg.batch_size):
                 idx = order[start:start + cfg.batch_size]
                 xb = self.train_data.images[idx]
-                if self.train_data.augment:
+                if cfg.augment:
                     xb = augment_batch(xb, self.data_rng)
                 yb = self.train_data.labels[idx]
                 scale = self._draw_scale()
 
-                if random_drop:
+                if phase == "baseline":
                     logits, kept = random_drop_forward(
                         self.model, xb, scale, self.scale_rng,
                         bn_training=bn_training)

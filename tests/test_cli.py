@@ -329,6 +329,16 @@ class TestTrainCommand:
          ["dataset", "image_size"]),
         ("dataset", {**CIFAR_DATASET, "num_classes": 10}, ["num_classes"]),
         ("dataset", {**SMALL_DATASET, "val_m": True}, ["val_m"]),
+        # the epoch a schedule entry starts at is never ambiguous
+        ("train", {**SHORT_TRAIN, "lr_schedule": [[5, 0.1], [0, 0.2]]},
+         ["lr_schedule"]),
+        ("train", {**SHORT_TRAIN, "lr_schedule": [[0, 0.1], [0, 0.3]]},
+         ["lr_schedule"]),
+        ("train", {**SHORT_TRAIN, "lr_schedule": [[3, 0.1]]},
+         ["lr_schedule"]),
+        # augmentation is a training setting, not a dataset one
+        ("dataset", {**CIFAR_DATASET, "augment": True}, ["augment"]),
+        ("train", {**SHORT_TRAIN, "augment": 1}, ["augment"]),
     ], ids=["train_list", "lr_schedule_empty", "zero_epochs",
             "adam_weight_decay", "scale_fixed_and_range", "synthetic_m_zero",
             "synthetic_classes_null", "synthetic_image_size_list",
@@ -346,7 +356,9 @@ class TestTrainCommand:
             "scale_range_bools", "scale_range_three", "scale_range_scalar",
             "lr_schedule_triple", "lr_schedule_scalar",
             "synthetic_image_size_zero", "cifar_num_classes",
-            "synthetic_val_m_bool"])
+            "synthetic_val_m_bool", "lr_schedule_unsorted",
+            "lr_schedule_repeated", "lr_schedule_late_start",
+            "cifar_augment", "augment_int"])
     def test_malformed_config_shape_is_usage_error(self, run_config, section,
                                                    value, words, capsys,
                                                    monkeypatch):
@@ -536,15 +548,6 @@ class TestEvalCommand:
         assert rows["default"][0]["usage_mean"] != \
             rows["sigmoid"][0]["usage_mean"]
 
-    def test_more_dataset_classes_than_model_is_usage_error(
-            self, checkpoint, tmp_path, capsys):
-        dataset = json.dumps({**SMALL_DATASET, "classes": 9})
-        code = main(["eval", "--checkpoint", checkpoint, "--dataset",
-                     dataset, "--grid", "0.5", "--out", str(tmp_path / "o")])
-        assert code == EXIT_USAGE
-        assert "9 classes" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
     def test_out_under_regular_file_fails_before_the_sweep(
             self, checkpoint, dataset_spec, tmp_path, monkeypatch, capsys):
         ran = []
@@ -684,6 +687,58 @@ class TestUsageMapOutput:
             (tmp_path / "e" / "eval.json").read_text())["rows"]
         for j, row in enumerate(rows):
             assert abs(matrix[:, j].sum() - row["usage_mean"]) < 1e-12
+
+
+def run_on_data(command, tmp_path, model, dataset) -> tuple[int, pathlib.Path]:
+    """Run ``train`` or ``eval`` with ``SMALL_MODEL`` updated by ``model``
+    on the dataset section ``dataset``; returns the exit code and the
+    output directory the command was given."""
+    out = tmp_path / "out"
+    spec = {**SMALL_MODEL, **model}
+    if command == "train":
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": spec, "train": SHORT_TRAIN,
+                                    "dataset": dataset}))
+        return main(["train", "--config", str(path), "--out", str(out)]), out
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, GatedResNet(parse_model_spec(spec),
+                                      np.random.default_rng(0)))
+    return main(["eval", "--checkpoint", str(ckpt), "--dataset",
+                 json.dumps(dataset), "--grid", "0.5", "--out", str(out)]), out
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_more_dataset_classes_than_model_is_usage_error(command, tmp_path,
+                                                        capsys):
+    # checked before the output directory exists, not at the first batch
+    code, out = run_on_data(command, tmp_path, {},
+                            {**SMALL_DATASET, "classes": 6})
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "6 classes" in err and "outputs 4" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_image_channels_other_than_model_is_usage_error(command, tmp_path,
+                                                        capsys):
+    code, out = run_on_data(command, tmp_path, {"in_channels": 1},
+                            SMALL_DATASET)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "3-channel" in err and "takes 1" in err
+    assert not out.exists()
+
+
+def test_data_check_covers_every_split_it_is_given():
+    spec = parse_model_spec(SMALL_MODEL)
+    train = make_synthetic(8, classes=4)
+    val = make_synthetic(8, classes=5, split="val")
+    cli.check_data_fits(spec, train)
+    with pytest.raises(ConfigError, match="val split has 5 classes"):
+        cli.check_data_fits(spec, train, val)
 
 
 def test_csv_outputs_end_lines_in_lf(run_config, checkpoint, dataset_spec,

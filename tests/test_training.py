@@ -3,10 +3,13 @@ rules, freeze contracts, mode ablations, and reproducibility."""
 
 import json
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+from resizenet import model as model_module
+from resizenet import training
 from resizenet.cli import EXIT_OK, main
 from resizenet.data import make_synthetic
 from resizenet.model import GatedResNet, GateMode, ModelSpec
@@ -162,6 +165,19 @@ class TestTrainConfig:
         assert cfg.lr_at(9) == 1e-3
         assert cfg.lr_at(10) == 1e-4
         assert cfg.lr_at(25) == 1e-5
+
+    @pytest.mark.parametrize("schedule,epoch,lr", [
+        (((0, 0.1),), 0, 0.1),
+        (((0, 0.1),), 7, 0.1),
+        (((0, 0.1), (3, 0.01), (5, 0.001)), 2, 0.1),
+        (((0, 0.1), (3, 0.01), (5, 0.001)), 3, 0.01),
+        (((0, 0.1), (3, 0.01), (5, 0.001)), 4, 0.01),
+        (((0, 0.1), (3, 0.01), (5, 0.001)), 5, 0.001),
+        (((0, 0.1), (3, 0.01), (5, 0.001)), 99, 0.001),
+    ])
+    def test_lr_at_is_last_entry_at_or_before_epoch(self, schedule, epoch,
+                                                    lr):
+        assert TrainConfig(lr_schedule=schedule).lr_at(epoch) == lr
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -330,12 +346,100 @@ def test_augments_exactly_when_training_set_says_so(monkeypatch, augment):
         return images
 
     monkeypatch.setattr("resizenet.training.augment_batch", spy)
-    model, train, val, cfg = small_setup(m=64, epochs_total=2)
-    train.augment = augment
-    val.augment = True  # the val set is never trained on
+    # the 32-sample val set is never augmented
+    model, train, val, cfg = small_setup(m=64, epochs_total=2,
+                                         augment=augment)
     Trainer(model, train, val, cfg).run()
     # two epochs of two 32-sample batches, the gate-only epoch included
     assert calls == ([32] * 4 if augment else [])
+
+
+def spy_schedule(monkeypatch, trainer) -> list[tuple]:
+    """Run ``trainer`` and return one row per epoch: its phase label, the
+    set of (forward, bn_training) pairs it ran, whether any gate module
+    ran, and the parameter group of each optimizer it stepped, in step
+    order."""
+    model = trainer.model
+    groups = {"backbone": model.backbone_parameters(),
+              "gates": model.gate_parameters()}
+    seen = defaultdict(lambda: {"forwards": set(), "gate_forward": False,
+                                "optimizers": {}})
+
+    def now():  # the epoch in progress has no report row yet
+        return seen[len(trainer.report.rows)]
+
+    real_forward = GatedResNet.forward
+
+    def forward(self, x, scale, modes=None, *, bn_training=False):
+        now()["forwards"].add(("gated", bn_training))
+        return real_forward(self, x, scale, modes, bn_training=bn_training)
+
+    real_drop = training.random_drop_forward
+
+    def drop(model, x, scale, rng, *, bn_training=False):
+        now()["forwards"].add(("random_drop", bn_training))
+        return real_drop(model, x, scale, rng, bn_training=bn_training)
+
+    real_gate = model_module.gate_forward
+
+    def gate(*args, **kwargs):
+        now()["gate_forward"] = True
+        return real_gate(*args, **kwargs)
+
+    real_make = training.make_optimizer
+
+    def make(params, spec):
+        optimizer = real_make(params, spec)
+        group = next(name for name, group in groups.items()
+                     if [id(p) for p in group] == [id(p) for p in params])
+        real_step = optimizer.step
+
+        def step(lr):
+            now()["optimizers"][id(optimizer)] = group
+            real_step(lr)
+        optimizer.step = step
+        return optimizer
+
+    monkeypatch.setattr(GatedResNet, "forward", forward)
+    monkeypatch.setattr(training, "random_drop_forward", drop)
+    monkeypatch.setattr(model_module, "gate_forward", gate)
+    monkeypatch.setattr(training, "make_optimizer", make)
+    trainer.run()
+    return [(row.phase, seen[row.epoch]["forwards"],
+             seen[row.epoch]["gate_forward"],
+             list(seen[row.epoch]["optimizers"].values()))
+            for row in trainer.report.rows]
+
+
+# per epoch: phase label, forwards run with their bn_training, whether a
+# gate module ran, and the parameter groups of the optimizers stepped
+GATE_ONLY = ("gate-only", {("gated", False)}, True, ["gates"])
+JOINT = ("joint", {("gated", True)}, True, ["backbone", "gates"])
+BASELINE = ("baseline", {("random_drop", True)}, False, ["backbone"])
+
+
+class TestOneSchedule:
+    """Every regime runs gate-only epochs, then joint epochs; the phase
+    label alone sets each epoch's forward, batch norm and optimizers."""
+
+    def test_gated(self, monkeypatch):
+        model, train, _, cfg = small_setup(epochs_total=3,
+                                           epochs_gate_only=1)
+        assert spy_schedule(monkeypatch, Trainer(model, train, None, cfg)) \
+            == [GATE_ONLY, JOINT, JOINT]
+
+    def test_fixed_scale(self, monkeypatch):
+        model, train, _, cfg = small_setup(
+            epochs_total=3, epochs_gate_only=1, scale_range=None,
+            scale_fixed=FixedScaleConfig(0.5))
+        assert spy_schedule(monkeypatch, Trainer(model, train, None, cfg)) \
+            == [GATE_ONLY, JOINT, JOINT]
+
+    def test_random_drop(self, monkeypatch):
+        model, train, _, cfg = small_setup(
+            epochs_total=2, epochs_gate_only=0, baseline_mode="random_drop")
+        assert spy_schedule(monkeypatch, Trainer(model, train, None, cfg)) \
+            == [BASELINE, BASELINE]
 
 
 class TestUsageSlope:
