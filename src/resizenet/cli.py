@@ -118,6 +118,11 @@ def load_dataset_spec(obj: dict, split: str = "train") -> Dataset:
                 m = max(1, m // 2) if val_m is None else val_m
             return make_synthetic(m, split=split, **kwargs)
         if kind in ("cifar10", "cifar100"):
+            # both paths are checked on either split, as the sizes are
+            for key in ("train_path", "test_path"):
+                if not isinstance(kwargs.get(key), (str, type(None))):
+                    raise TypeError(f"{key} must be a path string, not "
+                                    f"{kwargs[key]!r}")
             path = {"train": kwargs.pop("train_path", None),
                     "val": kwargs.pop("test_path", None)}.get(split)
             if not path:
@@ -146,29 +151,21 @@ def check_data_fits(spec: ModelSpec, *datasets: Dataset) -> None:
                 f"images but the model takes {spec.in_channels}")
 
 
-def load_run_config(path) -> dict:
+def _read_json(path, what: str):
+    """The JSON in file ``path``; an unreadable file is a ConfigError."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    _check_keys(obj, {"model", "train", "dataset", "out_dir",
-                      "init_checkpoint"}, "run config")
-    return obj
-
-
-def _json_or_file(value: str) -> dict:
-    if os.path.exists(value):
-        with open(value) as fh:
             return json.load(fh)
-    try:
-        return json.loads(value)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"--dataset must be a JSON file path or inline JSON: {exc}"
-        ) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or bad UTF-8
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_run_config(path) -> dict:
+    obj = _read_json(path, "config")
+    _check_keys(obj, {"model", "train", "dataset"}, "run config")
+    return obj
 
 
 def _write_json(path, doc) -> None:
@@ -193,36 +190,31 @@ def _write_csv(path, rows) -> None:
 def cmd_train(args) -> int:
     config = load_run_config(args.config) if args.config else {}
     dataset_obj = config.get("dataset", {"kind": "synthetic"})
-    out_dir = args.out or config.get("out_dir")
-    if not out_dir:
-        raise ConfigError("no output directory (use --out or out_dir)")
-
     spec = parse_model_spec(config.get("model", {}))
     cfg = parse_train_config(config.get("train", {}))
     train_data = load_dataset_spec(dataset_obj, "train")
     val_data = load_dataset_spec(dataset_obj, "val")
     check_data_fits(spec, train_data, val_data)
 
-    init = args.init_from or config.get("init_checkpoint")
-    if init:
-        model, _ = load_checkpoint(init, expected_spec=spec)
+    if args.init_from is not None:
+        model, _ = load_checkpoint(args.init_from, expected_spec=spec)
     else:
         model = GatedResNet(spec, np.random.default_rng(cfg.seed))
 
     # made before the schedule runs, so an unusable --out fails at once
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     trainer = Trainer(model, train_data, val_data, cfg)
     rows = trainer.report.rows
     try:
         trainer.run()
     finally:
         # a run that diverges still leaves the epochs it finished
-        _write_csv(os.path.join(out_dir, "epochs.csv"),
+        _write_csv(os.path.join(args.out, "epochs.csv"),
                    [[f.name for f in fields(EpochRow)], *map(astuple, rows)])
-    ckpt = os.path.join(out_dir, "model.ckpt")
+    ckpt = os.path.join(args.out, "model.ckpt")
     save_checkpoint(ckpt, model, train_state={"epoch": len(rows)})
     last = rows[-1]
-    _write_json(os.path.join(out_dir, "summary.json"), {
+    _write_json(os.path.join(args.out, "summary.json"), {
         "epochs": len(rows), "final_val_accuracy": last.val_accuracy,
         "final_loss": last.loss_total, "final_mean_usage": last.mean_usage,
         "baseline_mode": cfg.baseline_mode, "beta": cfg.beta, "p": cfg.p,
@@ -230,7 +222,7 @@ def cmd_train(args) -> int:
     print(f"trained {len(rows)} epochs; "
           f"final val accuracy {last.val_accuracy:.4f}, "
           f"mean usage {last.mean_usage:.2f}/{model.num_blocks}")
-    print(f"outputs in {out_dir}")
+    print(f"outputs in {args.out}")
     return EXIT_OK
 
 
@@ -244,7 +236,8 @@ def _parse_grid(values) -> list[float]:
 def cmd_eval(args) -> int:
     override = GateMode.SIGMOID if args.gate_override else None
     model, _ = load_checkpoint(args.checkpoint)
-    dataset = load_dataset_spec(_json_or_file(args.dataset), "val")
+    dataset = load_dataset_spec(_read_json(args.dataset, "dataset spec"),
+                                "val")
     check_data_fits(model.spec, dataset)
     grid = _parse_grid(args.grid)
     out = Path(args.out)
@@ -332,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run a training schedule")
     p_train.add_argument("--config", help="run-config JSON path")
-    p_train.add_argument("--out", help="output directory")
+    p_train.add_argument("--out", required=True, help="output directory")
     p_train.add_argument("--init-from", help="checkpoint to start from")
     p_train.set_defaults(func=cmd_train)
 
@@ -341,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                      "across a scale grid")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--dataset", required=True,
-                        help="dataset spec: JSON file path or inline JSON")
+                        help="dataset spec JSON file path")
     p_eval.add_argument("--grid", nargs="+", required=True,
                         metavar="S", help="ascending scale values")
     p_eval.add_argument("--out", required=True)
@@ -377,6 +370,9 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size the machine cannot hold
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

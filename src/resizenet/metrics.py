@@ -173,12 +173,11 @@ def budget_to_scale(calibration: list[tuple[float, float]],
 
     if budget >= f_vals[-1]:
         return s_vals[-1]
-    if budget <= f_vals[0]:
+    if budget < f_vals[0]:
         return s_vals[0]
+    # f_vals[i] <= budget < f_vals[i + 1], so the segment is not flat
     i = bisect_right(f_vals, budget) - 1
     f0, f1 = f_vals[i], f_vals[i + 1]
-    if f1 == f0:
-        return s_vals[i]
     t = (budget - f0) / (f1 - f0)
     return s_vals[i] + t * (s_vals[i + 1] - s_vals[i])
 

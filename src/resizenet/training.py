@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, augment_batch
-from .metrics import evaluate
+from .metrics import EVAL_BATCH, evaluate
 from .model import (GatedResNet, check_number, random_drop_forward,
                     sample_gate_modes)
 from .objective import LossBreakdown, total_loss
-from .tensor import NonFiniteError, Tensor, softmax_cross_entropy
+from .tensor import NonFiniteError, Tensor, no_grad, softmax_cross_entropy
 
 
 class DivergenceError(RuntimeError):
@@ -415,6 +415,21 @@ class Trainer:
     def _val_accuracy(self) -> float:
         if self.val_data is None:
             return math.nan
+        if self.cfg.baseline_mode == "random_drop":
+            # the baseline trains no gates, so it validates the network it
+            # trains: at S=1 every block is kept, whatever its own
+            # generator draws, and scale_rng is left alone
+            images, labels = self.val_data.images, self.val_data.labels
+            rng = np.random.default_rng(0)
+            correct = 0
+            with no_grad():
+                for start in range(0, len(images), EVAL_BATCH):
+                    rows = slice(start, start + EVAL_BATCH)
+                    logits, _ = random_drop_forward(self.model, images[rows],
+                                                    1.0, rng)
+                    correct += int((np.argmax(logits.data, axis=1)
+                                    == labels[rows]).sum())
+            return correct / len(images)
         scale = self.cfg.scale_fixed.scale if self.cfg.scale_fixed else 1.0
         return evaluate(self.model, self.val_data, scale).accuracy
 

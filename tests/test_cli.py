@@ -45,7 +45,6 @@ def run_config(tmp_path):
         "train": {"epochs_total": 2, "epochs_gate_only": 1,
                   "batch_size": 32, "seed": 1},
         "dataset": SMALL_DATASET,
-        "out_dir": str(tmp_path / "run"),
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -139,7 +138,8 @@ class TestConfigParsing:
 
 class TestTrainCommand:
     def test_gated_run_writes_outputs(self, run_config, tmp_path):
-        code = main(["train", "--config", str(run_config)])
+        code = main(["train", "--config", str(run_config),
+                     "--out", str(tmp_path / "run")])
         assert code == EXIT_OK
         out = tmp_path / "run"
         for name in ("model.ckpt", "epochs.csv", "summary.json"):
@@ -156,21 +156,23 @@ class TestTrainCommand:
         assert blobs[0] == blobs[1]
 
     def test_missing_out_dir_is_usage_error(self, tmp_path, capsys):
+        # train takes its output directory only as --out
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"model": SMALL_MODEL}))
         code = main(["train", "--config", str(path)])
         assert code == EXIT_USAGE
-        assert "output directory" in capsys.readouterr().err
+        assert "--out" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model", [
         {**SMALL_MODEL, "stage_blocks": [1.5]},
         {**SMALL_MODEL, "channels": [0]},
     ], ids=["stage_blocks_float", "channels_zero"])
     def test_malformed_model_value_is_usage_error(self, run_config, model,
-                                                  capsys):
+                                                  tmp_path, capsys):
         cfg = json.loads(run_config.read_text())
         run_config.write_text(json.dumps({**cfg, "model": model}))
-        assert main(["train", "--config", str(run_config)]) == EXIT_USAGE
+        assert main(["train", "--config", str(run_config),
+                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
         assert "bad model spec" in capsys.readouterr().err
 
     def test_config_without_model_section_trains_default_spec(
@@ -179,8 +181,9 @@ class TestTrainCommand:
         path.write_text(json.dumps({
             "train": {"epochs_total": 1, "epochs_gate_only": 0,
                       "batch_size": 32},
-            "dataset": SMALL_DATASET, "out_dir": str(tmp_path / "run")}))
-        assert main(["train", "--config", str(path)]) == EXIT_OK
+            "dataset": SMALL_DATASET}))
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
         model, _ = load_checkpoint(tmp_path / "run" / "model.ckpt")
         assert model.spec == ModelSpec()
 
@@ -214,7 +217,8 @@ class TestTrainCommand:
         path = self._config_with_train(run_config,
                                        baseline_mode="random_drop",
                                        epochs_gate_only=0)
-        assert main(["train", "--config", str(path)]) == EXIT_OK
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
         summary = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert summary["baseline_mode"] == "random_drop"
         rows = (tmp_path / "run" / "epochs.csv").read_text().splitlines()
@@ -225,21 +229,24 @@ class TestTrainCommand:
         path = self._config_with_train(
             run_config, scale_range=None,
             scale_fixed={"scale": 0.5, "sigma": 0.0, "anneal_epochs": 0})
-        assert main(["train", "--config", str(path)]) == EXIT_OK
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
         with open(tmp_path / "run" / "epochs.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert [row["mean_scale"] for row in rows] == ["0.5", "0.5"]
         # every batch draws the same scale, so no slope is defined
         assert [row["usage_slope"] for row in rows] == ["nan", "nan"]
 
-    def test_divergence_exits_3_with_one_line(self, run_config, capsys):
+    def test_divergence_exits_3_with_one_line(self, run_config, tmp_path,
+                                              capsys):
         # numpy's overflow warning is an error under pytest, as in CI;
         # main must still report the divergence itself
         path = self._config_with_train(
             run_config, epochs_total=1, epochs_gate_only=0,
             optimizer={"kind": "sgd", "momentum": 0.0},
             lr_schedule=[[0, 1e200]])
-        assert main(["train", "--config", str(path)]) == EXIT_DIVERGED
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == EXIT_DIVERGED
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("diverged: ")
 
@@ -250,7 +257,8 @@ class TestTrainCommand:
             run_config, epochs_total=2, epochs_gate_only=0,
             optimizer={"kind": "sgd", "momentum": 0.0},
             lr_schedule=[[0, 0.05], [1, 1e200]])
-        assert main(["train", "--config", str(path)]) == EXIT_DIVERGED
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == EXIT_DIVERGED
         assert "epoch 1" in capsys.readouterr().err
         with open(tmp_path / "run" / "epochs.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
@@ -339,6 +347,11 @@ class TestTrainCommand:
         # augmentation is a training setting, not a dataset one
         ("dataset", {**CIFAR_DATASET, "augment": True}, ["augment"]),
         ("train", {**SHORT_TRAIN, "augment": 1}, ["augment"]),
+        # np.fromfile would take a non-string path for a file object
+        ("dataset", {**CIFAR_DATASET, "train_path": 5}, ["train_path"]),
+        ("dataset", {**CIFAR_DATASET, "train_path": True}, ["train_path"]),
+        ("dataset", {**CIFAR_DATASET, "train_path": ["a"]}, ["train_path"]),
+        ("dataset", {**CIFAR_DATASET, "test_path": 5}, ["test_path"]),
     ], ids=["train_list", "lr_schedule_empty", "zero_epochs",
             "adam_weight_decay", "scale_fixed_and_range", "synthetic_m_zero",
             "synthetic_classes_null", "synthetic_image_size_list",
@@ -358,35 +371,52 @@ class TestTrainCommand:
             "synthetic_image_size_zero", "cifar_num_classes",
             "synthetic_val_m_bool", "lr_schedule_unsorted",
             "lr_schedule_repeated", "lr_schedule_late_start",
-            "cifar_augment", "augment_int"])
+            "cifar_augment", "augment_int", "cifar_train_path_int",
+            "cifar_train_path_bool", "cifar_train_path_list",
+            "cifar_test_path_int"])
     def test_malformed_config_shape_is_usage_error(self, run_config, section,
-                                                   value, words, capsys,
-                                                   monkeypatch):
+                                                   value, words, tmp_path,
+                                                   capsys, monkeypatch):
         monkeypatch.chdir(run_config.parent)
         pathlib.Path("cifar.bin").write_bytes(bytes(2 * 3073))
         cfg = json.loads(run_config.read_text())
         run_config.write_text(json.dumps({**cfg, section: value}))
-        assert main(["train", "--config", str(run_config)]) == EXIT_USAGE
+        assert main(["train", "--config", str(run_config),
+                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
         for word in words:
             assert word in err
 
+    @pytest.mark.parametrize("key", ["out_dir", "init_checkpoint"])
+    def test_removed_run_config_key_is_usage_error(self, run_config, key,
+                                                   tmp_path, capsys):
+        # the output directory and the start checkpoint are flags only
+        cfg = json.loads(run_config.read_text())
+        run_config.write_text(json.dumps({**cfg, key: str(tmp_path / "x")}))
+        assert main(["train", "--config", str(run_config),
+                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key") and key in err
+        assert not (tmp_path / "run").exists()
+
     def test_random_drop_without_scale_range_is_usage_error(self, run_config,
-                                                            capsys):
+                                                            tmp_path, capsys):
         path = self._config_with_train(run_config,
                                        baseline_mode="random_drop",
                                        scale_range=None)
-        assert main(["train", "--config", str(path)]) == EXIT_USAGE
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
         assert "scale_range" in capsys.readouterr().err
 
     def test_random_drop_with_gate_only_epochs_is_usage_error(
-            self, run_config, capsys):
+            self, run_config, tmp_path, capsys):
         # the fixture's train section keeps one gate-only epoch
         path = self._config_with_train(run_config,
                                        baseline_mode="random_drop")
-        assert main(["train", "--config", str(path)]) == EXIT_USAGE
+        assert main(["train", "--config", str(path),
+                     "--out", str(tmp_path / "run")]) == EXIT_USAGE
         assert "epochs_gate_only" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [
@@ -397,7 +427,8 @@ class TestTrainCommand:
     def test_removed_training_flag_is_usage_error(self, run_config, flag,
                                                   tmp_path, capsys):
         # the run config's train section is the one description of a run
-        code = main(["train", "--config", str(run_config), *flag])
+        code = main(["train", "--config", str(run_config),
+                     "--out", str(tmp_path / "run"), *flag])
         assert code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
@@ -408,7 +439,8 @@ class TestTrainCommand:
         cfg["dataset"] = {"kind": "cifar10", "train_path": str(tmp_path),
                           "test_path": str(tmp_path)}
         run_config.write_text(json.dumps(cfg))
-        assert main(["train", "--config", str(run_config)]) == EXIT_DATA
+        assert main(["train", "--config", str(run_config),
+                     "--out", str(tmp_path / "run")]) == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
     def test_init_from_mismatched_checkpoint_is_data_error(
@@ -513,10 +545,31 @@ class TestEvalCommand:
 
     def test_dataset_spec_not_an_object_is_usage_error(self, checkpoint,
                                                        tmp_path, capsys):
-        code = main(["eval", "--checkpoint", checkpoint, "--dataset", "[1]",
-                     "--grid", "0.5", "--out", str(tmp_path / "x")])
+        spec = tmp_path / "list.json"
+        spec.write_text("[1]")
+        code = main(["eval", "--checkpoint", checkpoint, "--dataset",
+                     str(spec), "--grid", "0.5", "--out", str(tmp_path / "x")])
         assert code == EXIT_USAGE
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make", [
+        lambda path: None,
+        lambda path: path.write_text("{not json"),
+        lambda path: path.mkdir(),
+        lambda path: path.write_text("[" * 10 ** 5),
+    ], ids=["missing", "not_json", "directory", "nested_too_deep"])
+    def test_unreadable_dataset_spec_is_usage_error(self, checkpoint,
+                                                    tmp_path, make, capsys):
+        # a spec file is read as a bad --config is, and names the file
+        spec = tmp_path / "spec"
+        make(spec)
+        code = main(["eval", "--checkpoint", checkpoint, "--dataset",
+                     str(spec), "--grid", "0.5", "--out", str(tmp_path / "x")])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"dataset spec {spec}" in err
+        assert not (tmp_path / "x").exists()
 
     def test_eval_grid_must_ascend(self, checkpoint, dataset_spec, tmp_path):
         code = main(["eval", "--checkpoint", checkpoint,
@@ -703,8 +756,10 @@ def run_on_data(command, tmp_path, model, dataset) -> tuple[int, pathlib.Path]:
     ckpt = tmp_path / "model.ckpt"
     save_checkpoint(ckpt, GatedResNet(parse_model_spec(spec),
                                       np.random.default_rng(0)))
-    return main(["eval", "--checkpoint", str(ckpt), "--dataset",
-                 json.dumps(dataset), "--grid", "0.5", "--out", str(out)]), out
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(dataset))
+    return main(["eval", "--checkpoint", str(ckpt), "--dataset", str(path),
+                 "--grid", "0.5", "--out", str(out)]), out
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])
@@ -732,6 +787,28 @@ def test_image_channels_other_than_model_is_usage_error(command, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_string_cifar_path_is_usage_error(command, tmp_path, capsys):
+    code, out = run_on_data(command, tmp_path, {},
+                            {**CIFAR_DATASET, "test_path": 5})
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "test_path must be a path string" in err
+    assert not out.exists()
+
+
+def test_size_the_machine_cannot_hold_is_usage_error(tmp_path, capsys):
+    # the first array, 10**15 int64 labels (8 PB), exceeds any address
+    # space, so the allocation fails before it touches memory
+    code, out = run_on_data("train", tmp_path, {},
+                            {**SMALL_DATASET, "m": 10 ** 15})
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
+    assert not out.exists()
+
+
 def test_data_check_covers_every_split_it_is_given():
     spec = parse_model_spec(SMALL_MODEL)
     train = make_synthetic(8, classes=4)
@@ -743,7 +820,8 @@ def test_data_check_covers_every_split_it_is_given():
 
 def test_csv_outputs_end_lines_in_lf(run_config, checkpoint, dataset_spec,
                                      tmp_path):
-    assert main(["train", "--config", str(run_config)]) == EXIT_OK
+    assert main(["train", "--config", str(run_config),
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
     assert main(["eval", "--checkpoint", checkpoint, "--dataset",
                  dataset_spec, "--grid", "0.5", "1.0",
                  "--out", str(tmp_path / "e")]) == EXIT_OK

@@ -324,10 +324,12 @@ class TestCheckpoint:
         _edit_header(path, edit)
         with pytest.raises(CheckpointError, match="tensor table"):
             load_checkpoint(path)
-        dataset = json.dumps({"kind": "synthetic", "m": 8, "classes": 4})
-        assert main(["eval", "--checkpoint", str(path), "--dataset", dataset,
-                     "--grid", "0.5", "--out", str(tmp_path / "e")]) \
-            == EXIT_DATA
+        dataset = tmp_path / "data.json"
+        dataset.write_text(json.dumps({"kind": "synthetic", "m": 8,
+                                       "classes": 4}))
+        assert main(["eval", "--checkpoint", str(path), "--dataset",
+                     str(dataset), "--grid", "0.5",
+                     "--out", str(tmp_path / "e")]) == EXIT_DATA
 
     @pytest.mark.parametrize("model", [
         {"channels": [400, 16]},

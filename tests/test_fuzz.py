@@ -173,10 +173,12 @@ class TestCifarBinaryFuzz:
         try:
             ds = load_cifar_binary(path, record_format=record_format)
         except DatasetFormatError:
-            spec = {"kind": record_format, "test_path": str(path)}
+            spec = workdir / "cifar.json"
+            spec.write_text(json.dumps({"kind": record_format,
+                                        "test_path": str(path)}))
             code = main(["eval", "--checkpoint",
                          str(workdir / "good.ckpt"),
-                         "--dataset", json.dumps(spec), "--grid", "0.5",
+                         "--dataset", str(spec), "--grid", "0.5",
                          "--out", str(workdir / "eval")])
             assert code == EXIT_DATA
         else:

@@ -247,6 +247,12 @@ class TestBudgetToScale:
         cal = [(0.2, 100.0), (0.4, 120.0), (0.7, 120.0), (1.0, 300.0)]
         assert budget_to_scale(cal, 120.0) == 0.7
 
+    def test_flat_segment_at_the_bottom_takes_largest_scale(self):
+        # every gate shut at both S=0 and S=0.2 gives a flat first segment
+        cal = [(0.2, 100.0), (0.4, 100.0), (1.0, 200.0)]
+        assert budget_to_scale(cal, 100.0) == 0.4
+        assert budget_to_scale(cal, 99.0) == 0.2
+
     def test_empty_calibration_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             budget_to_scale([], 10.0)

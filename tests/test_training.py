@@ -12,6 +12,7 @@ from resizenet import model as model_module
 from resizenet import training
 from resizenet.cli import EXIT_OK, main
 from resizenet.data import make_synthetic
+from resizenet.metrics import evaluate
 from resizenet.model import GatedResNet, GateMode, ModelSpec
 from resizenet.tensor import Tensor
 from resizenet.training import (
@@ -335,6 +336,22 @@ class TestBaselineTraining:
         before = parameter_checksum(model.gate_parameters())
         Trainer(model, train, None, cfg).run()
         assert parameter_checksum(model.gate_parameters()) == before
+
+    def test_validates_the_network_with_every_block_kept(self):
+        # the baseline never trains its gates, so shut ones must not decide
+        # its validation accuracy
+        model, train, val, cfg = small_setup(
+            baseline_mode="random_drop", epochs_total=1, epochs_gate_only=0)
+        for g in model.gate_modules:
+            g.b2.data[...] = -100.0
+        trainer = Trainer(model, train, val, cfg)
+        trainer.run()
+        assert evaluate(model, val, 1.0).stats.usage_mean == 0.0
+        for g in model.gate_modules:
+            g.b2.data[...] = 100.0
+        every_block = evaluate(model, val, 1.0)
+        assert every_block.stats.usage_mean == model.num_blocks
+        assert trainer.report.rows[0].val_accuracy == every_block.accuracy
 
 
 @pytest.mark.parametrize("augment", [False, True])
